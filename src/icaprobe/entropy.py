@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DegenerateSampleError
 
@@ -25,6 +26,10 @@ TIE_EPS = 1e-12
 
 #: Fraction of clamped spacings beyond which the sample is rejected.
 TIE_REJECT_FRACTION = 0.10
+
+#: Most grid-by-sample kernel elements kde holds at once, so its memory
+#: stays O(grid + n) instead of O(grid * n).
+KDE_BLOCK_ELEMENTS = 1 << 22
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -37,38 +42,13 @@ def gaussian_entropy(variance: float) -> float:
 #: eta(1), the entropy of the standard normal.
 ETA_1 = gaussian_entropy(1.0)
 
-# Bernoulli numbers B_2..B_14 over their indices, for the asymptotic series.
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
 
 def digamma(x: float) -> float:
-    """Standard digamma psi(x) for x > 0, absolute error <= 1e-10.
-
-    Small arguments are shifted up with psi(x) = psi(x+1) - 1/x until
-    x >= 6, where the asymptotic series applies.
-    """
+    """Standard digamma psi(x) for x > 0."""
     x = float(x)
     if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x!r}")
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for coeff in _DIGAMMA_COEFFS:
-        series += coeff * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x - series
+    return float(special.digamma(x))
 
 
 @dataclass(frozen=True)
@@ -150,6 +130,12 @@ def kde(y, cfg: KdeConfig) -> np.ndarray:
     h = cfg.bandwidth if cfg.bandwidth is not None else silverman_bandwidth(y)
     if not h > 0:
         raise DegenerateSampleError("auto bandwidth is zero; constant sample")
-    u = (cfg.grid[:, None] - y[None, :]) / h
-    kernel = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    return kernel.sum(axis=1) / (len(y) * h)
+    # Each row is summed on its own, so blocking over grid rows leaves
+    # every value bit-identical to the one-matrix form.
+    rows = max(1, KDE_BLOCK_ELEMENTS // len(y))
+    sums = np.empty(cfg.grid.size)
+    for start in range(0, cfg.grid.size, rows):
+        u = (cfg.grid[start : start + rows, None] - y[None, :]) / h
+        kernel = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        sums[start : start + rows] = kernel.sum(axis=1)
+    return sums / (len(y) * h)

@@ -13,8 +13,6 @@ smooth enough for single-start local search.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +31,6 @@ from .errors import ConvergenceError, OptimizationError
 from .maxent import entropy_by_quadrature, solve_f0
 from .whiten import Direction, WhitenedData
 from .rng import ReproducibleStream
-
-THREADS_ENV = "ICAPROBE_THREADS"
 
 ALL_CONTRASTS = ("j_mspacing", "j_f0", "j_hat_star", "j_kurtosis")
 
@@ -64,15 +60,6 @@ class SweepResult:
         return float(self.thetas[i]), float(vals[i])
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def sweep(
     D: WhitenedData,
     grid_size: int = 360,
@@ -81,7 +68,6 @@ def sweep(
     k: KFunction | None = None,
     mspacing: MSpacingConfig = MSpacingConfig(),
     baseline="quadrature",
-    threads: int | None = None,
     full_circle: bool = False,
 ) -> SweepResult:
     """Evaluate the requested contrasts on a uniform direction grid.
@@ -126,12 +112,7 @@ def sweep(
                 failed = True
         return out, failed
 
-    n_workers = _resolve_threads(threads)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(evaluate, thetas))
-    else:
-        results = [evaluate(t) for t in thetas]
+    results = [evaluate(t) for t in thetas]
 
     values = {
         name: np.array([r[0][name] for r in results]) for name in contrasts

@@ -182,6 +182,8 @@ def test_kurtosis_contrast_cases():
     assert kurtosis_contrast(unif) == pytest.approx(1.2, abs=0.05)
     pm1 = np.where(stream.uniforms(10_000) < 0.5, -1.0, 1.0)
     assert kurtosis_contrast(pm1) == pytest.approx(2.0, abs=0.01)
+    # mean(y^4) = (16 + 1 + 1 + 16) / 4 = 8.5, exact in binary
+    assert kurtosis_contrast([-2.0, -1.0, 1.0, 2.0]) == 5.5
 
 
 def test_hat_j_arithmetic():

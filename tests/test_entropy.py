@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from icaprobe.entropy import (
     ETA_1,
+    KDE_BLOCK_ELEMENTS,
     KdeConfig,
     MSpacingConfig,
     digamma,
@@ -193,6 +194,16 @@ def test_kde_mass_normalized(rng):
     grid = np.linspace(-10.0, 10.0, 2001)
     est = kde(y, KdeConfig(grid=grid))
     assert np.trapezoid(est, grid) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_kde_blocks_match_dense_formula():
+    y = ReproducibleStream(1005).normals(6000)
+    grid = np.linspace(-4.0, 4.0, 801)
+    assert grid.size * y.size > KDE_BLOCK_ELEMENTS  # more than one block
+    h = silverman_bandwidth(y)
+    u = (grid[:, None] - y[None, :]) / h
+    dense = (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)).sum(axis=1) / (y.size * h)
+    assert np.array_equal(kde(y, KdeConfig(grid=grid)), dense)
 
 
 def test_kde_explicit_bandwidth_and_validation(rng):

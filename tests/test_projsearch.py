@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icaprobe.contrast import fastica_contrast, kurtosis_contrast, logcosh
+from icaprobe.contrast import build_k, c_value, fastica_contrast, kurtosis_contrast, logcosh
 from icaprobe.datagen import GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources, rotation_2d
-from icaprobe.entropy import mspacing_negentropy
+from icaprobe.entropy import ETA_1, mspacing_negentropy
+from icaprobe.maxent import entropy_by_quadrature, solve_f0
 from icaprobe.projsearch import (
     SweepResult,
     UnsupportedDimensionError,
@@ -30,7 +31,7 @@ def banded_data():
 
 
 def test_sweep_shapes_and_grid(gaussian_data):
-    res = sweep(gaussian_data, grid_size=16, threads=1)
+    res = sweep(gaussian_data, grid_size=16)
     assert len(res.thetas) == 16
     assert np.all(np.diff(res.thetas) > 0)
     assert res.thetas[0] == 0.0
@@ -49,7 +50,7 @@ def test_sweep_gaussian_contrasts_flat(gaussian_data):
     # flat means noise-level: the squared contrast stays ~(sd/sqrt(n))^2,
     # orders below any structured value, and its spread stays a small
     # multiple of its own median (measured ~7x at this seed)
-    res = sweep(gaussian_data, grid_size=64, contrasts=("j_hat_star", "j_mspacing"), threads=1)
+    res = sweep(gaussian_data, grid_size=64, contrasts=("j_hat_star", "j_mspacing"))
     jh = res.values["j_hat_star"]
     assert jh.max() < 1e-4
     assert jh.max() - jh.min() < 20.0 * np.median(jh)
@@ -62,7 +63,6 @@ def test_full_circle_antipodal_invariance(gaussian_data):
         gaussian_data,
         grid_size=12,
         contrasts=("j_hat_star", "j_kurtosis", "j_mspacing"),
-        threads=1,
         full_circle=True,
     )
     half = 12
@@ -73,21 +73,21 @@ def test_full_circle_antipodal_invariance(gaussian_data):
     assert np.allclose(jm[:half], jm[half:], atol=1e-9)
 
 
-def test_sweep_threading_matches_serial(gaussian_data):
-    a = sweep(gaussian_data, grid_size=16, contrasts=("j_hat_star", "j_f0"), threads=1)
-    b = sweep(gaussian_data, grid_size=16, contrasts=("j_hat_star", "j_f0"), threads=4)
-    for name in ("j_hat_star", "j_f0"):
-        assert np.array_equal(a.values[name], b.values[name])
-
-
-def test_sweep_env_thread_cap(gaussian_data, monkeypatch):
-    monkeypatch.setenv("ICAPROBE_THREADS", "2")
-    res = sweep(gaussian_data, grid_size=8, contrasts=("j_kurtosis",))
-    assert res.values["j_kurtosis"].shape == (8,)
+def test_sweep_matches_direct_evaluation(gaussian_data):
+    res = sweep(gaussian_data, grid_size=16)
+    k = build_k(logcosh())
+    for i, theta in enumerate(res.thetas):
+        y = gaussian_data.values @ np.array([math.sin(theta), math.cos(theta)])
+        assert res.values["j_mspacing"][i] == mspacing_negentropy(y)
+        assert res.values["j_hat_star"][i] == fastica_contrast(y, logcosh())
+        assert res.values["j_kurtosis"][i] == kurtosis_contrast(y)
+        j_f0 = ETA_1 - entropy_by_quadrature(solve_f0(c_value(y, k), k), tol=1e-9)
+        assert res.values["j_f0"][i] == j_f0
+    assert not res.f0_failed.any()
 
 
 def test_sweep_counterexample_separation(banded_data):
-    res = sweep(banded_data, grid_size=180, threads=2)
+    res = sweep(banded_data, grid_size=180)
     theta_m, _ = res.argmax("j_mspacing")
     theta_f, _ = res.argmax("j_hat_star")
     sep = abs(theta_m - theta_f)
@@ -130,7 +130,7 @@ def test_optimizer_quadratic_objective(gaussian_data):
 
 
 def test_optimizer_matches_sweep_argmax(banded_data):
-    res = sweep(banded_data, grid_size=720, contrasts=("j_hat_star",), threads=2)
+    res = sweep(banded_data, grid_size=720, contrasts=("j_hat_star",))
     theta_sweep, _ = res.argmax("j_hat_star")
     direction = optimize_direction(
         banded_data, lambda w: fastica_contrast(banded_data.values @ w, logcosh()), seed=2
@@ -169,8 +169,8 @@ def test_antipodal_contrast_invariance(banded_data):
 
 
 def test_grid_refinement_monotone(banded_data):
-    coarse = sweep(banded_data, grid_size=45, contrasts=("j_kurtosis",), threads=1)
-    fine = sweep(banded_data, grid_size=90, contrasts=("j_kurtosis",), threads=1)
+    coarse = sweep(banded_data, grid_size=45, contrasts=("j_kurtosis",))
+    fine = sweep(banded_data, grid_size=90, contrasts=("j_kurtosis",))
     # grids nest: every coarse theta appears in the fine grid
     assert fine.values["j_kurtosis"].max() >= coarse.values["j_kurtosis"].max() - 1e-12
 
@@ -190,7 +190,7 @@ def test_sweep_flags_solver_failures_as_gaps():
     base = stream.normals(1000).reshape(500, 2)
     base[:6, 0] = np.array([8.0, -8.0, 9.0, -9.0, 10.0, -10.0])
     data = whiten(base)
-    res = sweep(data, grid_size=16, threads=1)
+    res = sweep(data, grid_size=16)
     assert res.f0_failed.any()
     assert np.isnan(res.values["j_f0"][res.f0_failed]).all()
     assert np.isfinite(res.values["j_f0"][~res.f0_failed]).all()
@@ -219,7 +219,7 @@ def test_optimizer_three_dimensional_recovery():
 def test_deflation_agrees_with_sweep_argmax(banded_data):
     from icaprobe.fastica import FastIcaConfig, deflation
 
-    res = sweep(banded_data, grid_size=360, contrasts=("j_hat_star",), threads=2)
+    res = sweep(banded_data, grid_size=360, contrasts=("j_hat_star",))
     theta_sweep, _ = res.argmax("j_hat_star")
     w = deflation(banded_data, FastIcaConfig(n_components=1, seed=0)).W[0]
     theta_ica = math.atan2(w[0], w[1]) % math.pi
@@ -232,7 +232,7 @@ def test_counterexample_robust_to_contrast_family(banded_data):
     # the separation persists with the other stock nonlinearity
     from icaprobe.contrast import negexp
 
-    res = sweep(banded_data, grid_size=180, g=negexp(), threads=2)
+    res = sweep(banded_data, grid_size=180, g=negexp())
     theta_m, _ = res.argmax("j_mspacing")
     theta_f, _ = res.argmax("j_hat_star")
     sep = abs(theta_m - theta_f)
@@ -241,7 +241,7 @@ def test_counterexample_robust_to_contrast_family(banded_data):
 
 
 def test_mspacing_optimizer_agrees_with_sweep_argmax(banded_data):
-    res = sweep(banded_data, grid_size=360, contrasts=("j_mspacing",), threads=2)
+    res = sweep(banded_data, grid_size=360, contrasts=("j_mspacing",))
     theta_sweep, _ = res.argmax("j_mspacing")
     direction = optimize_direction(
         banded_data, lambda w: mspacing_negentropy(banded_data.values @ w), seed=0
