@@ -18,6 +18,12 @@ limited only by quadrature resolution.  The normalizer is kept in log form
 because A leaves double range when c approaches the boundary of the moment
 problem (the surrogate degenerates into narrow spikes there).
 
+The optimal dual value is the surrogate's entropy (Cover & Thomas, ch. 12):
+H[f0] = log Z - lambda . E_f0[(x, x^2, K)], taken with the moments the
+returned lambda attains on the solve rule, so J[f0] needs no second
+integration.  :func:`entropy_by_quadrature` integrates -f log f for every
+other density.
+
 The linearization hat_f0(x) = phi(x) (1 + c K(x)) shares c and K; the gap
 between the two shrinks like c^2 in the weighted sup norm, which
 :func:`sup_error` and :func:`rate_fit` measure empirically.
@@ -33,19 +39,16 @@ import numpy as np
 from .contrast import KFunction, build_k, hat_j_from_c, logcosh
 from .entropy import ETA_1
 from .errors import ConvergenceError, InvalidDensityError
-from .quadrature import (
-    DENSITY_SUPPORT,
-    QuadratureRule,
-    gaussian_weighted_rule,
-    integrate_interval,
-)
+from .quadrature import DENSITY_SUPPORT, gaussian_weighted_rule, integrate_interval
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_GAUSSIAN_LOG_AMP = -_LOG_SQRT_2PI  # log(1/sqrt(2 pi))
 
 #: Evaluation grid for sup_error; the integrand decays like
 #: exp(-(1/2 - delta) x^2), fully resolved at this density.
 SUP_GRID_POINTS = 4001
+
+#: Newton iteration cap of every dual solve.
+MAX_ITER = 200
 
 #: Exponent must be dominated by a negative quadratic for f0 to integrate;
 #: only solves far from the Gaussian ever approach this.
@@ -80,6 +83,7 @@ class SurrogateDensity:
     k: KFunction
     c: float
     residual: float
+    entropy: float  # H[f0], the optimal dual value
 
     @property
     def amplitude(self) -> float:
@@ -121,8 +125,13 @@ class LinearizedDensity:
         return phi * (1.0 + self.c * self.k(x))
 
 
-def _dual_newton(c, k, x, w, gaussian_weighted, lam0, tol, max_iter):
-    """Damped Newton on the dual; returns (lam, log_amp, residual, iters)."""
+def _dual_newton(c, k, x, w, gaussian_weighted, lam0, tol):
+    """Damped Newton on the dual; returns (lam, log_amp, entropy, residual).
+
+    The entropy is the dual value log Z - lam . E[m] at the moments lam
+    attains on (x, w), not at the target: the two differ by |a| times the
+    residual, which matters where |a| is large near the moment boundary.
+    """
     kx = k(x)
     moments = np.vstack([x, x * x, kx])
     shift = 0.5 if gaussian_weighted else 0.0
@@ -148,10 +157,10 @@ def _dual_newton(c, k, x, w, gaussian_weighted, lam0, tol, max_iter):
     log_z, expect, p = state
     psi = log_z - lam @ target
     grad = expect - target
-    for it in range(max_iter):
+    for _ in range(MAX_ITER):
         gnorm = float(np.abs(grad).max())
         if gnorm <= tol:
-            return lam, -log_z, gnorm, it
+            return lam, -log_z, log_z - lam @ expect, gnorm
         centered = moments - expect[:, None]
         hess = (centered * p) @ centered.T
         try:
@@ -195,7 +204,7 @@ def _dual_newton(c, k, x, w, gaussian_weighted, lam0, tol, max_iter):
                 f"{c:.6g} is outside the feasible moment range"
             )
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {float(np.abs(grad).max()):.2e})",
+        f"no convergence in {MAX_ITER} iterations (residual {float(np.abs(grad).max()):.2e})",
         float(np.abs(grad).max()),
     )
 
@@ -244,9 +253,7 @@ def solve_f0(
     c: float,
     k: KFunction,
     tol: float = 1e-10,
-    max_iter: int = 200,
     backend: str = "auto",
-    rule: QuadratureRule | None = None,
 ) -> SurrogateDensity:
     """Solve for the surrogate density at constraint value c.
 
@@ -266,13 +273,12 @@ def solve_f0(
         raise ValueError(f"unknown backend {backend!r}")
 
     if backend in ("auto", "gauss-hermite"):
-        gh = rule if rule is not None else gaussian_weighted_rule()
+        gh = gaussian_weighted_rule()
         try:
-            lam, log_amp, res, _ = _dual_newton(
-                c, k, gh.nodes, gh.weights, True, lam0, tol, max_iter
-            )
+            lam, log_amp, h, res = _dual_newton(c, k, gh.nodes, gh.weights, True, lam0, tol)
             d = SurrogateDensity(
-                log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c, residual=res
+                log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
+                residual=res, entropy=h,
             )
             _check_guard(k, d.zeta, d.a)
             if backend == "gauss-hermite":
@@ -285,25 +291,31 @@ def solve_f0(
                 raise
 
     last_err = None
-    for ngrid in _INTERVAL_GRIDS:
-        x, w = _interval_points(k, ngrid)
-        try:
-            lam, log_amp, res = _continue_in_c(c, k, x, w, lam0, tol, max_iter)
-        except ConvergenceError as err:
-            last_err = err
-            continue
-        d = SurrogateDensity(
-            log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c, residual=res
-        )
-        _check_guard(k, d.zeta, d.a)
-        x2, w2 = _interval_points(k, 2 * ngrid)
-        if _moment_residual(d, x2, w2, False, c) <= 10.0 * tol or ngrid == _INTERVAL_GRIDS[-1]:
-            return d
-        last_err = ConvergenceError("solution does not re-integrate consistently")
-    raise last_err
+    try:
+        for ngrid in _INTERVAL_GRIDS:
+            x, w = _interval_points(k, ngrid)
+            try:
+                lam, log_amp, h, res = _continue_in_c(c, k, x, w, lam0, tol)
+            except ConvergenceError as err:
+                last_err = err
+                continue
+            d = SurrogateDensity(
+                log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
+                residual=res, entropy=h,
+            )
+            _check_guard(k, d.zeta, d.a)
+            x2, w2 = _interval_points(k, 2 * ngrid)
+            if _moment_residual(d, x2, w2, False, c) <= 10.0 * tol or ngrid == _INTERVAL_GRIDS[-1]:
+                return d
+            last_err = ConvergenceError("solution does not re-integrate consistently")
+        raise last_err
+    finally:
+        # the error's traceback holds this frame, and with it every grid
+        # tried; drop the reference so the cycle does not outlive the call
+        del last_err
 
 
-def _continue_in_c(c, k, x, w, lam0, tol, max_iter):
+def _continue_in_c(c, k, x, w, lam0, tol):
     """Adaptive continuation from c = 0 toward the requested c.
 
     A :class:`_DualUnbounded` failure marks its target as infeasible on
@@ -312,8 +324,7 @@ def _continue_in_c(c, k, x, w, lam0, tol, max_iter):
     at every step size.
     """
     try:
-        lam, log_amp, res, _ = _dual_newton(c, k, x, w, False, lam0, tol, max_iter)
-        return lam, log_amp, res
+        return _dual_newton(c, k, x, w, False, lam0, tol)
     except _DualUnbounded:
         raise
     except ConvergenceError:
@@ -333,9 +344,7 @@ def _continue_in_c(c, k, x, w, lam0, tol, max_iter):
                 )
             continue
         try:
-            lam_new, log_amp, res, _ = _dual_newton(
-                c_try, k, x, w, False, tuple(lam), tol, max_iter
-            )
+            lam_new, log_amp, h, res = _dual_newton(c_try, k, x, w, False, tuple(lam), tol)
         except _DualUnbounded:
             blocked = abs(c_try)
             step *= 0.5
@@ -349,7 +358,7 @@ def _continue_in_c(c, k, x, w, lam0, tol, max_iter):
             continue
         lam, c_cur = lam_new, c_try
         if c_cur == c:
-            return lam, log_amp, res
+            return lam, log_amp, h, res
         step *= 1.6
     raise ConvergenceError(f"continuation exhausted at c = {c_cur:.6g} of {c:.6g}")
 
@@ -357,31 +366,19 @@ def _continue_in_c(c, k, x, w, lam0, tol, max_iter):
 def entropy_by_quadrature(pdf, support=DENSITY_SUPPORT, tol: float = 1e-10) -> float:
     """-integral pdf log pdf over the support, with 0 log 0 := 0.
 
-    ``pdf`` is a vectorized callable, or an object with a ``log_pdf``
-    method (used directly, which survives amplitudes outside double range).
+    ``pdf`` is a vectorized callable or an object with a ``pdf`` method.
     Negative density values beyond -1e-12 raise
-    :class:`InvalidDensityError`.
+    :class:`InvalidDensityError`.  The surrogate's own entropy is
+    :attr:`SurrogateDensity.entropy`; this is for every other density.
     """
-    log_pdf = getattr(pdf, "log_pdf", None)
     fn = pdf.pdf if hasattr(pdf, "pdf") else pdf
 
-    if log_pdf is not None:
-
-        def integrand(xs):
-            lp = log_pdf(xs)
-            p = np.exp(lp)
-            return np.where(p > 0.0, -p * lp, 0.0)
-
-    else:
-
-        def integrand(xs):
-            p = np.asarray(fn(xs), dtype=float)
-            if np.any(p < -1e-12):
-                raise InvalidDensityError(
-                    f"density reaches {p.min():.3e}; not a valid density"
-                )
-            p = np.maximum(p, 0.0)
-            return np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    def integrand(xs):
+        p = np.asarray(fn(xs), dtype=float)
+        if np.any(p < -1e-12):
+            raise InvalidDensityError(f"density reaches {p.min():.3e}; not a valid density")
+        p = np.maximum(p, 0.0)
+        return np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
 
     # dense initial grid so narrow spikes cannot hide from the refinement test
     return integrate_interval(integrand, support[0], support[1], tol, initial_panels=4096)
@@ -426,19 +423,16 @@ class UniformMixtureResult:
     c: float
     j_f0: float
     surrogate: SurrogateDensity
-    h_true_quadrature: float
     h_true_analytic: float
 
 
 def uniform_mixture_case(epsilon: float, k: KFunction | None = None) -> UniformMixtureResult:
     """Mixture (1/2) U(-1-eps, -1) + (1/2) U(1, 1+eps), standardized.
 
-    Returns the analytic negentropy of the standardized mixture, its
-    constraint value c under K, and the surrogate negentropy J[f0] at that
-    c.  The mixture entropy is evaluated both by direct quadrature on the
-    density and from the closed form H[U(a,b)] = log(b-a) plus the
-    disjoint-mixture composition (the two must agree; the direct form is
-    authoritative).
+    Returns the analytic negentropy of the standardized mixture, from the
+    closed form H[U(a,b)] = log(b-a) plus the disjoint-mixture composition,
+    its constraint value c under K, and the surrogate negentropy J[f0] at
+    that c.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
@@ -452,11 +446,6 @@ def uniform_mixture_case(epsilon: float, k: KFunction | None = None) -> UniformM
         integrate_interval(k, lo, hi, 1e-13)
         + integrate_interval(k, -hi, -lo, 1e-13)
     )
-    # -f log f integrated over both intervals; f is constant there
-    h_quad = level * (
-        integrate_interval(lambda t: np.full_like(t, -math.log(level)), lo, hi, 1e-13)
-        + integrate_interval(lambda t: np.full_like(t, -math.log(level)), -hi, -lo, 1e-13)
-    )
     # closed form: per-component H = log(eps/sigma), mixed with +log 2
     h_analytic = math.log(epsilon / sigma) + math.log(2.0)
 
@@ -464,13 +453,11 @@ def uniform_mixture_case(epsilon: float, k: KFunction | None = None) -> UniformM
     # rises with the spike sharpness; relax tolerances accordingly
     boundary = epsilon < 0.05
     d = solve_f0(c, k, tol=1e-8 if boundary else 1e-10, backend="interval")
-    j_f0 = ETA_1 - entropy_by_quadrature(d, tol=1e-9 if boundary else 1e-10)
     return UniformMixtureResult(
         epsilon=epsilon,
-        j_true=ETA_1 - h_quad,
+        j_true=ETA_1 - h_analytic,
         c=c,
-        j_f0=j_f0,
+        j_f0=ETA_1 - d.entropy,
         surrogate=d,
-        h_true_quadrature=h_quad,
         h_true_analytic=h_analytic,
     )

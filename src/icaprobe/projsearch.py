@@ -28,7 +28,7 @@ from .contrast import (
 )
 from .entropy import ETA_1, MSpacingConfig, mspacing_negentropy
 from .errors import ConvergenceError, OptimizationError
-from .maxent import entropy_by_quadrature, solve_f0
+from .maxent import solve_f0
 from .whiten import Direction, WhitenedData
 from .rng import ReproducibleStream
 
@@ -67,7 +67,6 @@ def sweep(
     g: GFunction | None = None,
     k: KFunction | None = None,
     mspacing: MSpacingConfig = MSpacingConfig(),
-    baseline="quadrature",
     full_circle: bool = False,
 ) -> SweepResult:
     """Evaluate the requested contrasts on a uniform direction grid.
@@ -100,13 +99,12 @@ def sweep(
         if "j_mspacing" in contrasts:
             out["j_mspacing"] = mspacing_negentropy(y, mspacing)
         if "j_hat_star" in contrasts:
-            out["j_hat_star"] = fastica_contrast(y, g, baseline)
+            out["j_hat_star"] = fastica_contrast(y, g)
         if "j_kurtosis" in contrasts:
             out["j_kurtosis"] = kurtosis_contrast(y)
         if "j_f0" in contrasts:
             try:
-                d = solve_f0(c_value(y, k), k)
-                out["j_f0"] = ETA_1 - entropy_by_quadrature(d, tol=1e-9)
+                out["j_f0"] = ETA_1 - solve_f0(c_value(y, k), k).entropy
             except ConvergenceError:
                 out["j_f0"] = math.nan
                 failed = True

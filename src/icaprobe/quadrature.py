@@ -81,7 +81,6 @@ def _weighted_hermite_pair(z: float, n: int) -> tuple[float, float]:
     return q1, q2
 
 
-@lru_cache(maxsize=32)
 def _hermite_nodes_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for weight exp(-x^2), by Newton with asymptotic guesses."""
     m = (order + 1) // 2
@@ -137,11 +136,24 @@ def gaussian_weighted_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     """
     if not isinstance(order, (int, np.integer)) or order < 2:
         raise ValueError(f"order must be an integer >= 2, got {order!r}")
-    xs, ws = _hermite_nodes_weights(int(order))
+    return _cached_gaussian_rule(int(order))
+
+
+@lru_cache(maxsize=32)
+def _cached_gaussian_rule(order: int) -> QuadratureRule:
+    """Build and validate each order once; the shared arrays are read-only.
+
+    Callers validate ``order`` first: the cache compares keys by value, so
+    200.0 would otherwise hit the entry for 200.
+    """
+    xs, ws = _hermite_nodes_weights(order)
     nodes = xs * math.sqrt(2.0)
     weights = ws / math.sqrt(math.pi)
     keep = weights > 0.0
-    return QuadratureRule(nodes=nodes[keep], weights=weights[keep], kind=GAUSSIAN_KIND)
+    rule = QuadratureRule(nodes=nodes[keep], weights=weights[keep], kind=GAUSSIAN_KIND)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def _eval_vectorized(f, xs: np.ndarray) -> np.ndarray:

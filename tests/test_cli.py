@@ -67,6 +67,16 @@ def test_sweep_small_grid(tmp_path, data_csv):
     assert cfg["grid"] == "8"
 
 
+def test_sweep_manifest_replay(tmp_path, data_csv):
+    first = tmp_path / "first.csv"
+    assert run("sweep", "--data", data_csv, "--grid", 8, "--out", first) == 0
+    manifest = first.with_suffix(".csv.manifest")
+    assert "version=0.1.2" in manifest.read_text().splitlines()
+    replay = tmp_path / "replay.csv"
+    assert run("sweep", "--config", manifest, "--out", replay) == 0
+    assert first.read_bytes() == replay.read_bytes()
+
+
 def test_sweep_flags_beat_config(tmp_path, data_csv):
     out1 = tmp_path / "s1.csv"
     run("sweep", "--data", data_csv, "--grid", 8, "--out", out1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from icaprobe.contrast import build_k, c_value, fastica_contrast, kurtosis_contrast, logcosh
 from icaprobe.datagen import GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources, rotation_2d
 from icaprobe.entropy import ETA_1, mspacing_negentropy
-from icaprobe.maxent import entropy_by_quadrature, solve_f0
+from icaprobe.maxent import solve_f0
 from icaprobe.projsearch import (
     SweepResult,
     UnsupportedDimensionError,
@@ -81,8 +81,7 @@ def test_sweep_matches_direct_evaluation(gaussian_data):
         assert res.values["j_mspacing"][i] == mspacing_negentropy(y)
         assert res.values["j_hat_star"][i] == fastica_contrast(y, logcosh())
         assert res.values["j_kurtosis"][i] == kurtosis_contrast(y)
-        j_f0 = ETA_1 - entropy_by_quadrature(solve_f0(c_value(y, k), k), tol=1e-9)
-        assert res.values["j_f0"][i] == j_f0
+        assert res.values["j_f0"][i] == ETA_1 - solve_f0(c_value(y, k), k).entropy
     assert not res.f0_failed.any()
 
 

@@ -66,6 +66,17 @@ def test_order_validation():
         gaussian_weighted_rule(0)
 
 
+def test_rule_is_built_once_and_read_only():
+    rule = gaussian_weighted_rule(200)
+    assert gaussian_weighted_rule(200) is rule
+    assert gaussian_weighted_rule(np.int64(200)) is rule
+    assert not rule.nodes.flags.writeable
+    assert not rule.weights.flags.writeable
+    # the cache must not turn a float order into a hit on the int entry
+    with pytest.raises(ValueError):
+        gaussian_weighted_rule(200.0)
+
+
 def test_rule_invariants_checked():
     with pytest.raises(ValueError):
         QuadratureRule(nodes=np.array([0.0, 0.0]), weights=np.array([0.5, 0.5]), kind="plain-interval")
