@@ -25,7 +25,6 @@ from .contrast import (
 from .datagen import BandSpec, GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources
 from .entropy import (
     ETA_1,
-    KdeConfig,
     MSpacingConfig,
     digamma,
     gaussian_entropy,
@@ -39,7 +38,6 @@ from .maxent import (
     SurrogateDensity,
     entropy_by_quadrature,
     hat_entropy,
-    negentropy,
     rate_fit,
     solve_f0,
     sup_error,

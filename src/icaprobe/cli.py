@@ -23,7 +23,7 @@ import numpy as np
 
 from . import datagen, manifest, svgplot
 from .contrast import GFAMILIES, build_k, c_value, fastica_contrast, logcosh
-from .entropy import KdeConfig, MSpacingConfig, kde, mspacing_negentropy
+from .entropy import MSpacingConfig, kde, mspacing_negentropy
 from .errors import (
     AccuracyError,
     ConvergenceError,
@@ -151,11 +151,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--data is required")
     data = whiten(_read_data_csv(cfg["data"]))
     g = _g_function(cfg)
-    mcfg = (
-        MSpacingConfig()
-        if cfg["m"] == "auto"
-        else MSpacingConfig(m=int(cfg["m"]), policy="explicit")
-    )
+    mcfg = MSpacingConfig(m=None if cfg["m"] == "auto" else int(cfg["m"]))
     result = sweep(data, grid_size=int(cfg["grid"]), g=g, mspacing=mcfg)
     out = Path(args.out)
     rows = [
@@ -220,7 +216,7 @@ def cmd_densities(args) -> int:
         w = np.array([math.sin(theta), math.cos(theta)])
     y = data.values @ w
     grid = DENSITY_GRID
-    kde_vals = kde(y, KdeConfig(grid=grid))
+    kde_vals = kde(y, grid)
     c = c_value(y, k)
     failed = 0
     try:

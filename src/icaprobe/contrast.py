@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateGError
-from .quadrature import QuadratureRule, gaussian_weighted_rule
+from .quadrature import gaussian_weighted_rule
 from .rng import ReproducibleStream
 
 #: Grid used when the tail test cannot decide the sign of delta.
@@ -142,10 +142,9 @@ def _delta_sign(numerator, grid=_SIGN_GRID) -> float:
     return 1.0 if float(vals.min() + vals.max()) >= 0.0 else -1.0
 
 
-def build_k(g: GFunction, rule: QuadratureRule | None = None) -> KFunction:
-    """Construct the K function for g under the given Gaussian rule."""
-    if rule is None:
-        rule = gaussian_weighted_rule()
+def build_k(g: GFunction) -> KFunction:
+    """Construct the K function for g under the default Gaussian rule."""
+    rule = gaussian_weighted_rule()
     x, w = rule.nodes, rule.weights
     gv = g.value(x)
     m0 = float(w @ gv)
@@ -179,11 +178,9 @@ def c_value(y, k: KFunction) -> float:
     return float(np.mean(k(y)))
 
 
-def gaussian_expectation(g: GFunction, rule: QuadratureRule | None = None) -> float:
+def gaussian_expectation(g: GFunction) -> float:
     """E[G(Z)] for Z ~ N(0, 1), by Gaussian quadrature."""
-    if rule is None:
-        rule = gaussian_weighted_rule()
-    return rule.apply(g.value)
+    return gaussian_weighted_rule().apply(g.value)
 
 
 @dataclass(frozen=True)
@@ -205,7 +202,6 @@ def fastica_contrast(
     y,
     g: GFunction,
     baseline: str | MonteCarloBaseline = "quadrature",
-    rule: QuadratureRule | None = None,
 ) -> float:
     """The final sample contrast (mean G(y) - B)^2.
 
@@ -218,7 +214,7 @@ def fastica_contrast(
     if isinstance(baseline, MonteCarloBaseline):
         b = float(np.mean(g.value(baseline.sample())))
     elif baseline == "quadrature":
-        b = gaussian_expectation(g, rule)
+        b = gaussian_expectation(g)
     else:
         raise ValueError(f"unknown baseline {baseline!r}")
     return float((np.mean(g.value(y)) - b) ** 2)

@@ -53,19 +53,16 @@ def digamma(x: float) -> float:
 
 @dataclass(frozen=True)
 class MSpacingConfig:
-    """Spacing parameter choice: explicit m or the sqrt rule."""
+    """Spacing parameter choice: an explicit m, or None for the sqrt rule."""
 
     m: int | None = None
-    policy: str = "sqrt-rule"
 
     def __post_init__(self):
-        if self.policy not in ("explicit", "sqrt-rule"):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.policy == "explicit" and (self.m is None or self.m < 3):
-            raise ValueError("explicit policy needs m >= 3")
+        if self.m is not None and self.m < 3:
+            raise ValueError("explicit m must be >= 3")
 
     def resolve(self, n: int) -> int:
-        m = self.m if self.policy == "explicit" else int(math.isqrt(n))
+        m = int(math.isqrt(n)) if self.m is None else self.m
         if not 3 <= m <= n - 1:
             raise ValueError(f"m={m} outside valid range [3, {n - 1}] for n={n}")
         return m
@@ -101,41 +98,28 @@ def mspacing_negentropy(y, cfg: MSpacingConfig = MSpacingConfig()) -> float:
     return ETA_1 - mspacing_entropy(y, cfg)
 
 
-@dataclass(frozen=True)
-class KdeConfig:
-    """Gaussian-kernel KDE settings; bandwidth None means Silverman's rule."""
-
-    grid: np.ndarray
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("grid must be a non-empty 1-d array")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("explicit bandwidth must be positive")
-        object.__setattr__(self, "grid", grid)
-
-
 def silverman_bandwidth(y: np.ndarray) -> float:
     """1.06 sigma-hat n^(-1/5)."""
     return 1.06 * float(np.std(y, ddof=1)) * len(y) ** -0.2
 
 
-def kde(y, cfg: KdeConfig) -> np.ndarray:
-    """Gaussian-kernel density estimate evaluated on cfg.grid."""
+def kde(y, grid) -> np.ndarray:
+    """Gaussian-kernel density estimate on grid, with Silverman's bandwidth."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] < 2:
         raise ValueError("need a 1-d sample with n >= 2")
-    h = cfg.bandwidth if cfg.bandwidth is not None else silverman_bandwidth(y)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-d array")
+    h = silverman_bandwidth(y)
     if not h > 0:
-        raise DegenerateSampleError("auto bandwidth is zero; constant sample")
+        raise DegenerateSampleError("Silverman bandwidth is zero; constant sample")
     # Each row is summed on its own, so blocking over grid rows leaves
     # every value bit-identical to the one-matrix form.
     rows = max(1, KDE_BLOCK_ELEMENTS // len(y))
-    sums = np.empty(cfg.grid.size)
-    for start in range(0, cfg.grid.size, rows):
-        u = (cfg.grid[start : start + rows, None] - y[None, :]) / h
+    sums = np.empty(grid.size)
+    for start in range(0, grid.size, rows):
+        u = (grid[start : start + rows, None] - y[None, :]) / h
         kernel = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         sums[start : start + rows] = kernel.sum(axis=1)
     return sums / (len(y) * h)

@@ -39,7 +39,7 @@ import numpy as np
 from .contrast import KFunction, build_k, hat_j_from_c, logcosh
 from .entropy import ETA_1
 from .errors import ConvergenceError, InvalidDensityError
-from .quadrature import DENSITY_SUPPORT, gaussian_weighted_rule, integrate_interval
+from .quadrature import DEFAULT_ORDER, DENSITY_SUPPORT, gaussian_weighted_rule, integrate_interval
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -106,18 +106,18 @@ class LinearizedDensity:
     """hat_f0(x) = phi(x) (1 + c K(x)).
 
     Normalization and unit variance are automatic from the K conditions.
-    hat_f0 need not be nonnegative for large c; the flag records a check
-    over the reference grid.
+    hat_f0 need not be nonnegative for large c; :attr:`nonnegative` checks
+    it over the reference grid.
     """
 
     c: float
     k: KFunction
-    nonnegative: bool = True
 
-    def __post_init__(self):
+    @property
+    def nonnegative(self) -> bool:
+        """Whether 1 + c K stays nonnegative over the reference grid."""
         grid = np.linspace(*DENSITY_SUPPORT, SUP_GRID_POINTS)
-        ok = bool(np.all(1.0 + self.c * self.k(grid) >= -1e-12))
-        object.__setattr__(self, "nonnegative", ok)
+        return bool(np.all(1.0 + self.c * self.k(grid) >= -1e-12))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -209,7 +209,7 @@ def _dual_newton(c, k, x, w, gaussian_weighted, lam0, tol):
     )
 
 
-def _interval_points(k: KFunction, ngrid: int):
+def _interval_points(ngrid: int):
     lo, hi = DENSITY_SUPPORT
     x = np.linspace(lo, hi, ngrid + 1)
     h = (hi - lo) / ngrid
@@ -249,63 +249,44 @@ def _moment_residual(d, x, w, gaussian_weighted, c):
     )
 
 
-def solve_f0(
-    c: float,
-    k: KFunction,
-    tol: float = 1e-10,
-    backend: str = "auto",
-) -> SurrogateDensity:
-    """Solve for the surrogate density at constraint value c.
+def _surrogate(c, k, lam, log_amp, entropy, residual) -> SurrogateDensity:
+    """The solved density, once it passes the integrability guard."""
+    _check_guard(k, lam[1], lam[2])
+    return SurrogateDensity(
+        log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
+        residual=residual, entropy=entropy,
+    )
 
-    Backends: "gauss-hermite" uses the phi-weighted rule (fast; exact
-    Gaussian fixed point at c = 0); "interval" uses a Simpson grid on the
-    density support, refined until the solution re-integrates consistently,
-    with adaptive continuation in c (needed when the surrogate develops
-    narrow spikes near the moment boundary); "auto" tries the first and
-    escalates to the second.  Divergence at large |c| is an expected
-    boundary of the method and raises :class:`ConvergenceError`.
+
+def _solve_gauss_hermite(c: float, k: KFunction, tol: float) -> SurrogateDensity:
+    """The phi-weighted rung: fast, with the exact Gaussian fixed point at c = 0."""
+    gh = gaussian_weighted_rule()
+    return _surrogate(c, k, *_dual_newton(c, k, gh.nodes, gh.weights, True, (0.0, -0.5, c), tol))
+
+
+def _solve_interval(c: float, k: KFunction, tol: float) -> SurrogateDensity:
+    """The interval rung: Simpson grids on the density support, with
+    continuation in c, refined until the solution re-integrates consistently
+    on the doubled grid.
+
+    Every grid is tried, even after a coarser one raised
+    :class:`_DualUnbounded`: a grid proves infeasibility only for itself,
+    and finer grids reach further toward the moment boundary.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    c = float(c)
-    lam0 = (0.0, -0.5, c)
-    if backend not in ("auto", "gauss-hermite", "interval"):
-        raise ValueError(f"unknown backend {backend!r}")
-
-    if backend in ("auto", "gauss-hermite"):
-        gh = gaussian_weighted_rule()
-        try:
-            lam, log_amp, h, res = _dual_newton(c, k, gh.nodes, gh.weights, True, lam0, tol)
-            d = SurrogateDensity(
-                log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
-                residual=res, entropy=h,
-            )
-            _check_guard(k, d.zeta, d.a)
-            if backend == "gauss-hermite":
-                return d
-            fine = gaussian_weighted_rule(2 * len(gh.nodes))
-            if _moment_residual(d, fine.nodes, fine.weights, True, c) <= 10.0 * tol:
-                return d
-        except ConvergenceError:
-            if backend == "gauss-hermite":
-                raise
-
     last_err = None
     try:
         for ngrid in _INTERVAL_GRIDS:
-            x, w = _interval_points(k, ngrid)
+            x, w = _interval_points(ngrid)
             try:
-                lam, log_amp, h, res = _continue_in_c(c, k, x, w, lam0, tol)
+                solved = _continue_in_c(c, k, x, w, (0.0, -0.5, c), tol)
             except ConvergenceError as err:
                 last_err = err
                 continue
-            d = SurrogateDensity(
-                log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
-                residual=res, entropy=h,
-            )
-            _check_guard(k, d.zeta, d.a)
-            x2, w2 = _interval_points(k, 2 * ngrid)
-            if _moment_residual(d, x2, w2, False, c) <= 10.0 * tol or ngrid == _INTERVAL_GRIDS[-1]:
+            d = _surrogate(c, k, *solved)
+            if ngrid == _INTERVAL_GRIDS[-1]:
+                return d
+            x2, w2 = _interval_points(2 * ngrid)
+            if _moment_residual(d, x2, w2, False, c) <= 10.0 * tol:
                 return d
             last_err = ConvergenceError("solution does not re-integrate consistently")
         raise last_err
@@ -313,6 +294,29 @@ def solve_f0(
         # the error's traceback holds this frame, and with it every grid
         # tried; drop the reference so the cycle does not outlive the call
         del last_err
+
+
+def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
+    """Solve for the surrogate density at constraint value c.
+
+    The Gauss-Hermite rung is tried first and kept when its solution
+    re-integrates to within 10 tol on the rule of twice the order;
+    otherwise the interval rung solves on the density support, which
+    resolves the narrow spikes f0 develops near the moment boundary.
+    Divergence at large |c| is an expected boundary of the method and
+    raises :class:`ConvergenceError`.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    c = float(c)
+    try:
+        d = _solve_gauss_hermite(c, k, tol)
+        fine = gaussian_weighted_rule(2 * DEFAULT_ORDER)
+        if _moment_residual(d, fine.nodes, fine.weights, True, c) <= 10.0 * tol:
+            return d
+    except ConvergenceError:
+        pass
+    return _solve_interval(c, k, tol)
 
 
 def _continue_in_c(c, k, x, w, lam0, tol):
@@ -363,8 +367,8 @@ def _continue_in_c(c, k, x, w, lam0, tol):
     raise ConvergenceError(f"continuation exhausted at c = {c_cur:.6g} of {c:.6g}")
 
 
-def entropy_by_quadrature(pdf, support=DENSITY_SUPPORT, tol: float = 1e-10) -> float:
-    """-integral pdf log pdf over the support, with 0 log 0 := 0.
+def entropy_by_quadrature(pdf, tol: float = 1e-10) -> float:
+    """-integral pdf log pdf over the density support, with 0 log 0 := 0.
 
     ``pdf`` is a vectorized callable or an object with a ``pdf`` method.
     Negative density values beyond -1e-12 raise
@@ -381,12 +385,7 @@ def entropy_by_quadrature(pdf, support=DENSITY_SUPPORT, tol: float = 1e-10) -> f
         return np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
 
     # dense initial grid so narrow spikes cannot hide from the refinement test
-    return integrate_interval(integrand, support[0], support[1], tol, initial_panels=4096)
-
-
-def negentropy(pdf, support=DENSITY_SUPPORT, tol: float = 1e-10) -> float:
-    """eta(1) - H[pdf] for a unit-variance density."""
-    return ETA_1 - entropy_by_quadrature(pdf, support, tol)
+    return integrate_interval(integrand, *DENSITY_SUPPORT, tol, initial_panels=4096)
 
 
 def hat_entropy(c) -> float:
@@ -452,7 +451,7 @@ def uniform_mixture_case(epsilon: float, k: KFunction | None = None) -> UniformM
     # near the moment boundary (tiny epsilon) the quadrature noise floor
     # rises with the spike sharpness; relax tolerances accordingly
     boundary = epsilon < 0.05
-    d = solve_f0(c, k, tol=1e-8 if boundary else 1e-10, backend="interval")
+    d = solve_f0(c, k, tol=1e-8 if boundary else 1e-10)
     return UniformMixtureResult(
         epsilon=epsilon,
         j_true=ETA_1 - h_analytic,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .contrast import (
     GFunction,
-    KFunction,
     build_k,
     c_value,
     fastica_contrast,
@@ -37,6 +36,9 @@ ALL_CONTRASTS = ("j_mspacing", "j_f0", "j_hat_star", "j_kurtosis")
 #: Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
 NM_COEFFS = (1.0, 2.0, 0.5, 0.5)
 NM_DIAMETER_TOL = 1e-7
+
+#: Stratified Nelder-Mead starts per optimize_direction call.
+RESTARTS = 8
 
 
 class UnsupportedDimensionError(ValueError):
@@ -63,17 +65,15 @@ class SweepResult:
 def sweep(
     D: WhitenedData,
     grid_size: int = 360,
-    contrasts: tuple = ALL_CONTRASTS,
     g: GFunction | None = None,
-    k: KFunction | None = None,
     mspacing: MSpacingConfig = MSpacingConfig(),
-    full_circle: bool = False,
 ) -> SweepResult:
-    """Evaluate the requested contrasts on a uniform direction grid.
+    """Evaluate the whole contrast ladder on a uniform grid over [0, pi).
 
-    J[f0] entries where the surrogate solver fails are NaN with the failure
-    flag set; they are reported, never fabricated.  ``full_circle`` extends
-    the grid to [0, 2 pi) as a diagnostic of antipodal invariance.
+    Every direction gets all of :data:`ALL_CONTRASTS`, with K built from
+    ``g`` (logcosh by default).  J[f0] entries where the surrogate solver
+    fails are NaN with the failure flag set; they are reported, never
+    fabricated.
     """
     if D.n_components != 2:
         raise UnsupportedDimensionError(
@@ -81,41 +81,22 @@ def sweep(
         )
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    unknown = set(contrasts) - set(ALL_CONTRASTS)
-    if unknown:
-        raise ValueError(f"unknown contrasts: {sorted(unknown)}")
     if g is None:
         g = logcosh()
-    if k is None and "j_f0" in contrasts:
-        k = build_k(g)
-    span = 2.0 * math.pi if full_circle else math.pi
-    count = 2 * grid_size if full_circle else grid_size
-    thetas = np.arange(count) * (span / count)
-
-    def evaluate(theta: float):
+    k = build_k(g)
+    thetas = np.arange(grid_size) * (math.pi / grid_size)
+    values = {name: np.empty(grid_size) for name in ALL_CONTRASTS}
+    f0_failed = np.zeros(grid_size, dtype=bool)
+    for i, theta in enumerate(thetas):
         y = D.values @ np.array([math.sin(theta), math.cos(theta)])
-        out = {}
-        failed = False
-        if "j_mspacing" in contrasts:
-            out["j_mspacing"] = mspacing_negentropy(y, mspacing)
-        if "j_hat_star" in contrasts:
-            out["j_hat_star"] = fastica_contrast(y, g)
-        if "j_kurtosis" in contrasts:
-            out["j_kurtosis"] = kurtosis_contrast(y)
-        if "j_f0" in contrasts:
-            try:
-                out["j_f0"] = ETA_1 - solve_f0(c_value(y, k), k).entropy
-            except ConvergenceError:
-                out["j_f0"] = math.nan
-                failed = True
-        return out, failed
-
-    results = [evaluate(t) for t in thetas]
-
-    values = {
-        name: np.array([r[0][name] for r in results]) for name in contrasts
-    }
-    f0_failed = np.array([r[1] for r in results], dtype=bool)
+        values["j_mspacing"][i] = mspacing_negentropy(y, mspacing)
+        values["j_hat_star"][i] = fastica_contrast(y, g)
+        values["j_kurtosis"][i] = kurtosis_contrast(y)
+        try:
+            values["j_f0"][i] = ETA_1 - solve_f0(c_value(y, k), k).entropy
+        except ConvergenceError:
+            values["j_f0"][i] = math.nan
+            f0_failed[i] = True
     return SweepResult(thetas=thetas, values=values, f0_failed=f0_failed)
 
 
@@ -174,19 +155,13 @@ def _nelder_mead(fn, x0: np.ndarray, step: float, max_iter: int = 400):
     return simplex[i], fvals[i]
 
 
-def optimize_direction(
-    D: WhitenedData,
-    contrast,
-    restarts: int = 8,
-    seed: int = 0,
-    max_iter: int = 400,
-) -> Direction:
+def optimize_direction(D: WhitenedData, contrast, seed: int = 0) -> Direction:
     """Maximize a direction objective over the unit sphere.
 
     ``contrast`` maps a unit vector to a float.  Nelder-Mead runs on p-1
-    hyperspherical angles from stratified random starts; the best restart
-    wins.  Raises :class:`OptimizationError` if no restart produces a
-    finite value.
+    hyperspherical angles from :data:`RESTARTS` stratified random starts;
+    the best restart wins.  Raises :class:`OptimizationError` if no
+    restart produces a finite value.
     """
     p = D.n_components
     n_angles = p - 1
@@ -197,11 +172,11 @@ def optimize_direction(
         return -val if np.isfinite(val) else math.inf
 
     best_x, best_f = None, math.inf
-    for r in range(max(1, restarts)):
-        first = (r + float(stream.uniforms(1)[0])) * math.pi / max(1, restarts)
+    for r in range(RESTARTS):
+        first = (r + float(stream.uniforms(1)[0])) * math.pi / RESTARTS
         rest = stream.uniforms(max(0, n_angles - 1)) * math.pi
         x0 = np.concatenate([[first], rest])
-        x, f = _nelder_mead(objective, x0, step=math.pi / 10.0, max_iter=max_iter)
+        x, f = _nelder_mead(objective, x0, step=math.pi / 10.0)
         if f < best_f:
             best_x, best_f = x, f
     if best_x is None or not np.isfinite(best_f):

@@ -23,13 +23,11 @@ _U53 = np.uint64(1) << np.uint64(53)
 class ReproducibleStream:
     """Stateful deterministic stream of uniforms and normals."""
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int):
         if not 0 <= int(seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
         self.seed = int(seed)
-        self.stream = int(stream)
-        key = self.seed + (self.stream << 64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1), on the 2^53 midpoint lattice."""

@@ -17,13 +17,13 @@ def rule200():
 
 
 @pytest.fixture(scope="session")
-def k_logcosh(rule200):
-    return build_k(logcosh(), rule200)
+def k_logcosh():
+    return build_k(logcosh())
 
 
 @pytest.fixture(scope="session")
-def k_negexp(rule200):
-    return build_k(negexp(), rule200)
+def k_negexp():
+    return build_k(negexp())
 
 
 @pytest.fixture()

@@ -141,9 +141,9 @@ def test_criterion_4_entropy_expansion(rates_csvs):
     _report(4, "entropy expansion remainder is third order", ok, "; ".join(details))
 
 
-def test_criterion_5_proportionality_identity(k_logcosh, rule200):
+def test_criterion_5_proportionality_identity(k_logcosh):
     g = logcosh()
-    e_g = gaussian_expectation(g, rule200)
+    e_g = gaussian_expectation(g)
     stream = ReproducibleStream(2024)
     worst = 0.0
     for _ in range(100):
@@ -160,7 +160,7 @@ def test_criterion_6_k_construction(rule200):
     ok = True
     details = []
     for g in (logcosh(), negexp()):
-        k = build_k(g, rule200)
+        k = build_k(g)
         x, w = rule200.nodes, rule200.weights
         kx = k(x)
         residuals = (
@@ -171,7 +171,7 @@ def test_criterion_6_k_construction(rule200):
         )
         details.append(f"{g.name}: max residual {max(residuals):.1e}")
         ok &= max(residuals) < 1e-8
-    k4 = build_k(quartic(), rule200)
+    k4 = build_k(quartic())
     quartic_ok = (
         abs(k4.alpha + 6.0) < 1e-10
         and abs(k4.beta) < 1e-10
@@ -187,7 +187,7 @@ def test_criterion_7_mspacing_consistency():
     gauss_errs = {}
     for n in (10_000, 100_000, 1_000_000):
         m = math.isqrt(n)
-        cfg = MSpacingConfig(m=m, policy="explicit")
+        cfg = MSpacingConfig(m=m)
         errs = [
             mspacing_entropy(ReproducibleStream(100 + s).normals(n), cfg) - ETA_1
             for s in range(5)
@@ -195,7 +195,7 @@ def test_criterion_7_mspacing_consistency():
         gauss_errs[n] = (float(np.mean(errs)), -(m / n) * math.log(n / m))
     unif_errs = [
         mspacing_entropy(
-            ReproducibleStream(200 + s).uniforms(100_000), MSpacingConfig(m=316, policy="explicit")
+            ReproducibleStream(200 + s).uniforms(100_000), MSpacingConfig(m=316)
         )
         for s in range(5)
     ]

@@ -37,7 +37,7 @@ def k_residuals(k, rule):
 def test_quartic_closed_form(rule200):
     # oracle: E Z^4 = 3, E Z^6 = 15 give alpha = (3 - 15)/2 = -6,
     # gamma = (15 - 9)/2 = 3; delta^2 = E He4(Z)^2 = 4! = 24
-    k = build_k(quartic(), rule200)
+    k = build_k(quartic())
     assert k.alpha == pytest.approx(-6.0, abs=1e-10)
     assert k.beta == pytest.approx(0.0, abs=1e-10)
     assert k.gamma == pytest.approx(3.0, abs=1e-10)
@@ -50,7 +50,7 @@ def test_quartic_closed_form(rule200):
 @pytest.mark.parametrize("gname", ["logcosh", "negexp"])
 def test_orthonormality_residuals(gname, rule200):
     g = logcosh() if gname == "logcosh" else negexp()
-    k = build_k(g, rule200)
+    k = build_k(g)
     for r in k_residuals(k, rule200):
         assert abs(r) < 1e-8
     # cross-check on an independent, finer rule
@@ -59,17 +59,17 @@ def test_orthonormality_residuals(gname, rule200):
         assert abs(r) < 1e-8
 
 
-def test_delta_sign_negative_for_logcosh_and_negexp(rule200):
+def test_delta_sign_negative_for_logcosh_and_negexp():
     # alpha < 0 for both; K must grow to +infinity so delta < 0
     for g in (logcosh(), negexp()):
-        k = build_k(g, rule200)
+        k = build_k(g)
         assert k.delta < 0
         assert k(30.0) > 0 and k(-30.0) > 0
         grid = np.linspace(-12, 12, 2001)
         assert k(grid).min() > -2.0  # bounded below
 
 
-def test_pure_quadratic_is_degenerate(rule200):
+def test_pure_quadratic_is_degenerate():
     g = GFunction(
         name="square",
         value=lambda x: np.asarray(x, float) ** 2,
@@ -77,10 +77,10 @@ def test_pure_quadratic_is_degenerate(rule200):
         deriv2=lambda x: np.full_like(np.asarray(x, float), 2.0),
     )
     with pytest.raises(DegenerateGError):
-        build_k(g, rule200)
+        build_k(g)
 
 
-def test_build_k_invariant_to_quadratic_shifts(rule200, k_logcosh):
+def test_build_k_invariant_to_quadratic_shifts(k_logcosh):
     base = logcosh()
     shifted = GFunction(
         name="logcosh+quad",
@@ -88,19 +88,19 @@ def test_build_k_invariant_to_quadratic_shifts(rule200, k_logcosh):
         deriv=lambda x: base.deriv(x) + 1.4 * np.asarray(x, float) - 1.3,
         deriv2=lambda x: base.deriv2(x) + 1.4,
     )
-    k2 = build_k(shifted, rule200)
+    k2 = build_k(shifted)
     grid = np.linspace(-8, 8, 501)
     assert np.max(np.abs(k2(grid) - k_logcosh(grid))) < 1e-8
 
 
-def test_odd_cubic_sign_tie_breaks_positive(rule200):
+def test_odd_cubic_sign_tie_breaks_positive():
     g = GFunction(
         name="cubic",
         value=lambda x: np.asarray(x, float) ** 3,
         deriv=lambda x: 3.0 * np.asarray(x, float) ** 2,
         deriv2=lambda x: 6.0 * np.asarray(x, float),
     )
-    k = build_k(g, rule200)
+    k = build_k(g)
     # He3 / sqrt(6): beta = -E[Z^4] = -3, delta = sqrt(3!) with + sign
     assert k.beta == pytest.approx(-3.0, abs=1e-10)
     assert k.delta == pytest.approx(math.sqrt(6.0), abs=1e-10)
@@ -115,8 +115,8 @@ def test_two_constraint_family_cross_orthogonality(rule200):
         deriv=lambda x: 3.0 * np.asarray(x, float) ** 2,
         deriv2=lambda x: 6.0 * np.asarray(x, float),
     )
-    k3 = build_k(g3, rule200)
-    k4 = build_k(quartic(), rule200)
+    k3 = build_k(g3)
+    k4 = build_k(quartic())
     cross = rule200.apply(lambda x: k3(x) * k4(x))
     assert abs(cross) < 1e-10
 
@@ -126,8 +126,8 @@ def test_c_value_gaussian_sample_near_zero(k_logcosh):
     assert abs(c_value(y, k_logcosh)) < 3.0 / math.sqrt(len(y))
 
 
-def test_c_value_constant_zero_quartic(rule200):
-    k = build_k(quartic(), rule200)
+def test_c_value_constant_zero_quartic():
+    k = build_k(quartic())
     val = c_value(np.zeros(10), k)
     assert val == pytest.approx(3.0 / math.sqrt(24.0), abs=1e-12)
     assert val == pytest.approx(0.6124, abs=1e-4)
@@ -138,8 +138,8 @@ def test_c_value_even_in_sample_sign(k_logcosh, rng):
     assert c_value(y, k_logcosh) == pytest.approx(c_value(-y, k_logcosh), abs=1e-14)
 
 
-def test_gaussian_expectation_logcosh(rule200):
-    assert gaussian_expectation(logcosh(), rule200) == pytest.approx(0.3746, abs=1e-4)
+def test_gaussian_expectation_logcosh():
+    assert gaussian_expectation(logcosh()) == pytest.approx(0.3746, abs=1e-4)
 
 
 def test_fastica_contrast_self_baseline_is_zero():
@@ -157,7 +157,7 @@ def test_fastica_contrast_mc_baseline_near_quadrature():
     assert mc != quad
 
 
-def test_fastica_contrast_gaussian_small(rule200):
+def test_fastica_contrast_gaussian_small():
     y = ReproducibleStream(22).normals(100_000)
     val = fastica_contrast(y, logcosh())
     assert val < 1e-5  # (O(1/sqrt(n)) fluctuation)^2
@@ -192,10 +192,10 @@ def test_hat_j_arithmetic():
     assert hat_j_from_c([0.3, 0.4]) == pytest.approx(0.125, abs=1e-15)
 
 
-def test_proportionality_identity(k_logcosh, rule200):
+def test_proportionality_identity(k_logcosh):
     # hat_J * 2 delta^2 == (mean G - E_phi G)^2 exactly for samples with
     # 1/n moments (0, 1); an algebraic identity of the construction
-    e_g = gaussian_expectation(logcosh(), rule200)
+    e_g = gaussian_expectation(logcosh())
     g = logcosh()
     stream = ReproducibleStream(25)
     for _ in range(25):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from icaprobe.entropy import (
     ETA_1,
     KDE_BLOCK_ELEMENTS,
-    KdeConfig,
     MSpacingConfig,
     digamma,
     gaussian_entropy,
@@ -87,13 +86,13 @@ def test_mspacing_gaussian_large_sample():
     # the estimator's bias is about -(m/n) log(n/m) = -0.018 at this
     # (n, m); seed 1000 gives -0.0157, well inside 0.03
     y = ReproducibleStream(1000).normals(100_000)
-    h = mspacing_entropy(y, MSpacingConfig(m=316, policy="explicit"))
+    h = mspacing_entropy(y, MSpacingConfig(m=316))
     assert h == pytest.approx(ETA_1, abs=0.03)
 
 
 def test_mspacing_uniform_large_sample():
     y = ReproducibleStream(1001).uniforms(100_000)
-    h = mspacing_entropy(y, MSpacingConfig(m=316, policy="explicit"))
+    h = mspacing_entropy(y, MSpacingConfig(m=316))
     assert h == pytest.approx(0.0, abs=0.01)
 
 
@@ -125,7 +124,7 @@ def test_mspacing_permutation_invariant(perm):
 
 def test_mspacing_negentropy_gaussian():
     y = ReproducibleStream(1002).normals(100_000)
-    assert mspacing_negentropy(y, MSpacingConfig(m=316, policy="explicit")) == pytest.approx(
+    assert mspacing_negentropy(y, MSpacingConfig(m=316)) == pytest.approx(
         0.0, abs=0.03
     )
 
@@ -134,7 +133,7 @@ def test_mspacing_negentropy_uniform_unit_variance():
     # H of U(a, b) is log(b - a); unit variance needs b - a = sqrt(12),
     # so J = eta(1) - (1/2) log 12 = 0.1764852
     y = (ReproducibleStream(1003).uniforms(100_000) - 0.5) * math.sqrt(12.0)
-    j = mspacing_negentropy(y, MSpacingConfig(m=316, policy="explicit"))
+    j = mspacing_negentropy(y, MSpacingConfig(m=316))
     assert j == pytest.approx(ETA_1 - 0.5 * math.log(12.0), abs=0.01)
     assert ETA_1 - 0.5 * math.log(12.0) == pytest.approx(0.1764852, abs=1e-7)
 
@@ -165,18 +164,24 @@ def test_mspacing_consistency_trend():
 
 def test_mspacing_config_validation():
     with pytest.raises(ValueError):
-        MSpacingConfig(policy="magic")
-    with pytest.raises(ValueError):
-        MSpacingConfig(m=2, policy="explicit")
+        MSpacingConfig(m=2)
     assert MSpacingConfig().resolve(100) == 10
     with pytest.raises(ValueError):
-        MSpacingConfig(m=50, policy="explicit").resolve(40)
+        MSpacingConfig(m=50).resolve(40)
+
+
+def test_mspacing_explicit_m_is_used():
+    # an integer m alone selects it; the sqrt rule would take m = 100 here
+    y = ReproducibleStream(1006).normals(10_000)
+    assert MSpacingConfig(m=30).resolve(10_000) == 30
+    assert mspacing_entropy(y, MSpacingConfig(m=30)) != mspacing_entropy(y)
+    assert mspacing_entropy(y, MSpacingConfig(m=100)) == mspacing_entropy(y)
 
 
 def test_kde_recovers_gaussian_density():
     y = ReproducibleStream(1004).normals(100_000)
     grid = np.linspace(-4.0, 4.0, 401)
-    est = kde(y, KdeConfig(grid=grid))
+    est = kde(y, grid)
     phi = np.exp(-0.5 * grid * grid) / math.sqrt(2.0 * math.pi)
     assert np.max(np.abs(est - phi)) < 0.05
 
@@ -185,14 +190,14 @@ def test_kde_symmetry_on_symmetrized_sample(rng):
     half = rng.standard_normal(500)
     y = np.concatenate([half, -half])
     grid = np.linspace(-3.0, 3.0, 121)
-    est = kde(y, KdeConfig(grid=grid))
+    est = kde(y, grid)
     assert np.max(np.abs(est - est[::-1])) < 1e-12
 
 
 def test_kde_mass_normalized(rng):
     y = rng.standard_normal(5000)
     grid = np.linspace(-10.0, 10.0, 2001)
-    est = kde(y, KdeConfig(grid=grid))
+    est = kde(y, grid)
     assert np.trapezoid(est, grid) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -203,15 +208,17 @@ def test_kde_blocks_match_dense_formula():
     h = silverman_bandwidth(y)
     u = (grid[:, None] - y[None, :]) / h
     dense = (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)).sum(axis=1) / (y.size * h)
-    assert np.array_equal(kde(y, KdeConfig(grid=grid)), dense)
+    assert np.array_equal(kde(y, grid), dense)
 
 
-def test_kde_explicit_bandwidth_and_validation(rng):
+def test_kde_validation(rng):
     y = rng.standard_normal(100)
     grid = np.linspace(-3, 3, 10)
-    assert kde(y, KdeConfig(grid=grid, bandwidth=0.5)).shape == (10,)
+    assert kde(y, grid).shape == (10,)
     with pytest.raises(ValueError):
-        KdeConfig(grid=grid, bandwidth=-1.0)
+        kde(y, np.empty(0))
+    with pytest.raises(ValueError):
+        kde(y, grid.reshape(2, 5))
     with pytest.raises(DegenerateSampleError):
-        kde(np.zeros(50), KdeConfig(grid=grid))
+        kde(np.zeros(50), grid)
     assert silverman_bandwidth(y) > 0

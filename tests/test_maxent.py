@@ -10,9 +10,10 @@ from icaprobe.entropy import ETA_1
 from icaprobe.errors import ConvergenceError, InvalidDensityError
 from icaprobe.maxent import (
     LinearizedDensity,
+    _solve_gauss_hermite,
+    _solve_interval,
     entropy_by_quadrature,
     hat_entropy,
-    negentropy,
     rate_fit,
     solve_f0,
     sup_error,
@@ -72,8 +73,8 @@ def test_constraints_reintegrate_at_doubled_order(k_logcosh):
 
 
 def test_interval_backend_matches_gauss_hermite(k_logcosh):
-    a = solve_f0(0.05, k_logcosh, backend="gauss-hermite")
-    b = solve_f0(0.05, k_logcosh, backend="interval")
+    a = _solve_gauss_hermite(0.05, k_logcosh, 1e-10)
+    b = _solve_interval(0.05, k_logcosh, 1e-10)
     assert a.a == pytest.approx(b.a, abs=1e-8)
     assert a.zeta == pytest.approx(b.zeta, abs=1e-8)
     assert a.amplitude == pytest.approx(b.amplitude, abs=1e-8)
@@ -100,6 +101,14 @@ def test_linearization_nonnegativity_flag(k_logcosh):
     assert not LinearizedDensity(c=-0.2, k=k_logcosh).nonnegative
 
 
+def test_linearization_nonnegativity_is_computed_not_given(k_logcosh):
+    with pytest.raises(TypeError):
+        LinearizedDensity(c=-0.2, k=k_logcosh, nonnegative=True)
+    lin = LinearizedDensity(c=-0.2, k=k_logcosh)
+    with pytest.raises(AttributeError):
+        lin.nonnegative = True
+
+
 def test_entropy_of_standard_normal():
     assert entropy_by_quadrature(phi) == pytest.approx(ETA_1, abs=1e-8)
 
@@ -109,14 +118,31 @@ def test_entropy_rejects_negative_density():
         entropy_by_quadrature(lambda x: np.full_like(np.asarray(x, float), -0.01))
 
 
+def test_invalid_density_raises_on_the_first_evaluation(k_logcosh):
+    # the error propagates from the one vectorized call; the density is
+    # not re-evaluated point by point, and the grid minimum is reported
+    lin = LinearizedDensity(c=-0.2, k=k_logcosh)
+    calls = []
+
+    def pdf(x):
+        calls.append(np.size(x))
+        return lin.pdf(x)
+
+    with pytest.raises(InvalidDensityError) as exc:
+        entropy_by_quadrature(pdf)
+    assert calls == [4097]
+    grid = np.linspace(-12.0, 12.0, 4097)
+    assert f"{lin.pdf(grid).min():.3e}" in str(exc.value)
+
+
 def test_negentropy_zero_at_gaussian(k_logcosh):
     d = solve_f0(0.0, k_logcosh)
-    assert negentropy(d) == pytest.approx(0.0, abs=1e-8)
+    assert ETA_1 - entropy_by_quadrature(d) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_surrogate_negentropy_below_taylor_level(k_logcosh):
     c = 0.1
-    j = negentropy(solve_f0(c, k_logcosh))
+    j = ETA_1 - entropy_by_quadrature(solve_f0(c, k_logcosh))
     assert j >= 0.0
     assert j <= hat_j_from_c(c) * 1.01
 
@@ -192,11 +218,11 @@ def test_rate_fit_validation():
 def test_solver_failure_at_infeasible_c(k_logcosh):
     # below the minimum of E K over unit-variance laws nothing exists
     with pytest.raises(ConvergenceError):
-        solve_f0(-2.0, k_logcosh, backend="gauss-hermite")
+        solve_f0(-2.0, k_logcosh)
 
 
-def test_quartic_positive_c_violates_integrability(rule200):
-    k4 = build_k(quartic(), rule200)
+def test_quartic_positive_c_violates_integrability():
+    k4 = build_k(quartic())
     with pytest.raises(ConvergenceError):
         solve_f0(0.1, k4)
 
@@ -225,10 +251,11 @@ def test_dual_entropy_matches_quadrature_near_gaussian(family, request):
     [("k_logcosh", (-0.7, -0.65, -0.6, -0.55)), ("k_negexp", (-0.8, -0.7, -0.6, -0.55))],
 )
 def test_dual_entropy_matches_quadrature_on_interval_backend(family, cs, request):
-    # far from the Gaussian, where f0 is bimodal and log A is large
+    # far from the Gaussian, where f0 is bimodal and log A is large; every
+    # one of these fails the Gauss-Hermite re-check and takes the interval rung
     k = request.getfixturevalue(family)
     for c in cs:
-        d = solve_f0(c, k, backend="interval")
+        d = solve_f0(c, k)
         assert d.entropy == pytest.approx(entropy_by_quadrature(d), abs=1e-12)
 
 
@@ -243,6 +270,15 @@ def test_dual_entropy_matches_quadrature_on_uniform_mixtures(family, request):
         h_quad = entropy_by_quadrature(res.surrogate)
         assert res.j_f0 == ETA_1 - res.surrogate.entropy
         assert res.surrogate.entropy == pytest.approx(h_quad, abs=1e-10)
+
+
+def test_mixture_solves_past_a_coarse_grid_proving_infeasibility(k_logcosh):
+    # at eps = 0.001 the 2^15-point grid's continuation finds the dual
+    # unbounded and 2^16 stalls; 2^17 and 2^19 reach the constraint value,
+    # so one grid's verdict must not end the ladder
+    res = uniform_mixture_case(0.001, k_logcosh)
+    assert np.isfinite(res.j_f0)
+    assert res.j_f0 <= res.j_true
 
 
 def test_failed_solve_frees_its_grids(k_logcosh):
@@ -293,7 +329,7 @@ def test_asymmetric_g_drives_odd_tilt(rule200):
         deriv=lambda x: base.deriv(np.asarray(x, float) + 0.5),
         deriv2=lambda x: base.deriv2(np.asarray(x, float) + 0.5),
     )
-    k = build_k(shifted, rule200)
+    k = build_k(shifted)
     assert abs(k.beta) > 0.1
     x, w = rule200.nodes, rule200.weights
     kx = k(x)
@@ -305,10 +341,10 @@ def test_asymmetric_g_drives_odd_tilt(rule200):
     assert abs(d.kappa) > 1e-4  # odd tilt engaged
 
 
-def test_logcosh_alpha_two_solves(rule200):
+def test_logcosh_alpha_two_solves():
     from icaprobe.contrast import build_k, logcosh
 
-    k2 = build_k(logcosh(2.0), rule200)
+    k2 = build_k(logcosh(2.0))
     d = solve_f0(0.05, k2)
     assert d.residual < 1e-10
     assert d.a == pytest.approx(0.05, abs=0.01)

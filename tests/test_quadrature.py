@@ -79,9 +79,9 @@ def test_rule_is_built_once_and_read_only():
 
 def test_rule_invariants_checked():
     with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([0.0, 0.0]), weights=np.array([0.5, 0.5]), kind="plain-interval")
+        QuadratureRule(nodes=np.array([0.0, 0.0]), weights=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, -0.5]), kind="plain-interval")
+        QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, -0.5]))
 
 
 def test_high_order_drops_underflowed_tail_nodes():
@@ -95,6 +95,11 @@ def test_interval_constant():
     assert integrate_interval(lambda x: np.ones_like(x), 0.0, 1.0, 1e-10) == pytest.approx(
         1.0, abs=1e-10
     )
+
+
+def test_interval_rejects_a_scalar_integrand():
+    with pytest.raises(ValueError):
+        integrate_interval(lambda x: 1.0, 0.0, 1.0, 1e-10)
 
 
 def test_interval_linear():
