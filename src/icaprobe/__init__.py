@@ -43,7 +43,7 @@ from .maxent import (
     sup_error,
     uniform_mixture_case,
 )
-from .projsearch import SweepResult, angles_to_unit, optimize_direction, sweep
+from .projsearch import SweepResult, optimize_direction, sweep
 from .quadrature import QuadratureRule, gaussian_weighted_rule, integrate_interval
 from .whiten import Direction, RawData, WhitenedData, project, whiten
 

@@ -53,6 +53,8 @@ _NUMERIC_ERRORS = (
     DegenerateSampleError,
 )
 
+FASTICA_SEED_HELP = "fastICA restart seed; the m-spacing search is deterministic and ignores it"
+
 
 def _g17(v) -> str:
     return format(float(v), ".17g")
@@ -204,10 +206,7 @@ def cmd_densities(args) -> int:
     k = build_k(g)
     choice = cfg["direction"]
     if choice == "mspacing-opt":
-        direction = optimize_direction(
-            data, lambda w: mspacing_negentropy(data.values @ w), seed=int(cfg["seed"])
-        )
-        w = direction.w
+        w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w)).w
     elif choice == "fastica-opt":
         loadings = deflation(data, FastIcaConfig(n_components=1, g=g, seed=int(cfg["seed"])))
         w = loadings.W[0]
@@ -248,11 +247,15 @@ def cmd_densities(args) -> int:
     return 0
 
 
-def _mspacing_deflation(data, components: int, seed: int):
+def _mspacing_deflation(data, components: int):
     """Sequential m-spacing directions, each in the orthogonal complement."""
     p = data.n_components
+    if components < 1:
+        raise ValueError("n_components must be >= 1")
+    if components > p:
+        raise ValueError(f"asked for {components} components in {p} dimensions")
     rows = []
-    for idx in range(components):
+    for _ in range(components):
         if rows:
             basis = np.linalg.svd(np.vstack(rows))[2][len(rows):].T  # (p, p-k)
         else:
@@ -262,9 +265,7 @@ def _mspacing_deflation(data, components: int, seed: int):
         else:
             reduced = data.values @ basis
             sub = whiten(reduced)  # complement projections are already white
-            direction = optimize_direction(
-                sub, lambda u: mspacing_negentropy(sub.values @ u), seed=seed + idx
-            )
+            direction = optimize_direction(sub, lambda u: mspacing_negentropy(sub.values @ u))
             w = basis @ (sub.transform @ direction.w)
             w = w / np.linalg.norm(w)
         rows.append(w)
@@ -295,7 +296,7 @@ def cmd_ica(args) -> int:
         iterations = loadings.iterations
         contrast_vals = [fastica_contrast(data.values @ w, g) for w in W]
     elif cfg["method"] == "mspacing":
-        W = _mspacing_deflation(data, components, int(cfg["seed"]))
+        W = _mspacing_deflation(data, components)
         converged = np.ones(components, dtype=bool)
         iterations = np.zeros(components, dtype=int)
         contrast_vals = [mspacing_negentropy(data.values @ w) for w in W]
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", help="angle in radians, mspacing-opt, or fastica-opt")
     p.add_argument("--g", choices=sorted(GFAMILIES))
     p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help=FASTICA_SEED_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_densities)
 
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int)
     p.add_argument("--g", choices=sorted(GFAMILIES))
     p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help=FASTICA_SEED_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_ica)
 

@@ -5,9 +5,11 @@ surrogate negentropy J[f0], the fastICA sample contrast, and the
 fourth-moment contrast) over directions w = (sin theta, cos theta) for
 theta on a uniform grid in [0, pi); antipodal directions give reflected
 projections with identical contrasts, so the half circle suffices.
-Optimization over arbitrary dimension uses Nelder-Mead on hyperspherical
-angles with stratified restarts, since the m-spacing objective is not
-smooth enough for single-start local search.
+Optimization over arbitrary dimension is deterministic and RADICAL-style
+(Learned-Miller & Fisher, JMLR 2003): an exhaustive angle grid over one
+great circle at a time, then a golden-section refinement of the best
+grid angle, since the m-spacing objective is too rough for a local search
+from a single start.
 """
 
 from __future__ import annotations
@@ -29,16 +31,16 @@ from .entropy import ETA_1, MSpacingConfig, mspacing_negentropy
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
 from .whiten import Direction, WhitenedData
-from .rng import ReproducibleStream
 
 ALL_CONTRASTS = ("j_mspacing", "j_f0", "j_hat_star", "j_kurtosis")
 
-#: Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
-NM_COEFFS = (1.0, 2.0, 0.5, 0.5)
-NM_DIAMETER_TOL = 1e-7
+#: Angles per great circle in optimize_direction: 1-degree steps over [0, pi).
+GRID_SIZE = 180
 
-#: Stratified Nelder-Mead starts per optimize_direction call.
-RESTARTS = 8
+#: Width in radians at which the golden-section refinement stops.
+ANGLE_TOL = 1e-7
+
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class UnsupportedDimensionError(ValueError):
@@ -100,89 +102,70 @@ def sweep(
     return SweepResult(thetas=thetas, values=values, f0_failed=f0_failed)
 
 
-def angles_to_unit(angles: np.ndarray) -> np.ndarray:
-    """Map p-1 hyperspherical angles to a unit vector in R^p.
+def _complement(w: np.ndarray) -> np.ndarray:
+    """Rows spanning w's complement: the Householder reflection taking e_p
+    to w without its last row, so e_1 ... e_{p-1} at w = e_p."""
+    h = np.eye(len(w))
+    v = w - h[-1]
+    vv = float(v @ v)
+    if vv > 0.0:
+        h -= (2.0 / vv) * np.outer(v, v)
+    return h[:-1]
 
-    For p = 2 this is (sin t, cos t), matching the sweep convention.
-    """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    w = np.array([1.0])
-    for t in angles[::-1]:
-        w = np.concatenate([math.sin(t) * w, [math.cos(t)]])
-    return w
 
-
-def _nelder_mead(fn, x0: np.ndarray, step: float, max_iter: int = 400):
-    """Minimize fn from x0; returns (x_best, f_best)."""
-    refl, expa, contr, shrink = NM_COEFFS
-    n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        v = np.array(x0, dtype=float)
-        v[i] += step
-        simplex.append(v)
-    fvals = [fn(v) for v in simplex]
-    for _ in range(max_iter):
-        order = np.argsort(fvals)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        spread = max(np.linalg.norm(v - simplex[0]) for v in simplex[1:])
-        if spread < NM_DIAMETER_TOL:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        xr = centroid + refl * (centroid - worst)
-        fr = fn(xr)
-        if fvals[0] <= fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[0]:
-            xe = centroid + expa * (xr - centroid)
-            fe = fn(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
+def _golden_max(f, a: float, b: float) -> tuple[float, float]:
+    """Maximize f on [a, b] by golden section until b - a < ANGLE_TOL."""
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a >= ANGLE_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = f(c)
         else:
-            xc = centroid + contr * (worst - centroid)
-            fc = fn(xc)
-            if fc < fvals[-1]:
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                best = simplex[0]
-                simplex = [best] + [best + shrink * (v - best) for v in simplex[1:]]
-                fvals = [fvals[0]] + [fn(v) for v in simplex[1:]]
-    i = int(np.argmin(fvals))
-    return simplex[i], fvals[i]
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
 
 
-def optimize_direction(D: WhitenedData, contrast, seed: int = 0) -> Direction:
-    """Maximize a direction objective over the unit sphere.
+def optimize_direction(D: WhitenedData, contrast) -> Direction:
+    """Maximize an even objective, ``contrast(w) == contrast(-w)``, over
+    the unit sphere.
 
-    ``contrast`` maps a unit vector to a float.  Nelder-Mead runs on p-1
-    hyperspherical angles from :data:`RESTARTS` stratified random starts;
-    the best restart wins.  Raises :class:`OptimizationError` if no
-    restart produces a finite value.
+    From w = e_p, a sweep takes each row u of an orthonormal basis of w's
+    complement: ``contrast(cos t w + sin t u)`` is evaluated for t on
+    :data:`GRID_SIZE` angles in [0, pi), which by evenness covers the
+    great circle, and the best angle is refined by golden section within
+    one grid step down to :data:`ANGLE_TOL`; w moves there if the value
+    improves.  Sweeps repeat until one moves w by less than a grid step.
+    At p = 2 the one circle is the whole sphere and t is the sweep's
+    theta, so one sweep is exact.  Non-finite values are skipped; raises
+    :class:`OptimizationError` if no direction gives a finite value.
     """
     p = D.n_components
-    n_angles = p - 1
-    stream = ReproducibleStream(seed)
+    step = math.pi / GRID_SIZE
+    grid = np.arange(GRID_SIZE) * step
+    w, best = np.eye(p)[-1], -math.inf
+    while True:
+        start = w
+        for u in _complement(start):
 
-    def objective(angles):
-        val = contrast(angles_to_unit(angles))
-        return -val if np.isfinite(val) else math.inf
+            def value(t, w=w, u=u):
+                v = float(contrast(math.cos(t) * w + math.sin(t) * u))
+                return v if math.isfinite(v) else -math.inf
 
-    best_x, best_f = None, math.inf
-    for r in range(RESTARTS):
-        first = (r + float(stream.uniforms(1)[0])) * math.pi / RESTARTS
-        rest = stream.uniforms(max(0, n_angles - 1)) * math.pi
-        x0 = np.concatenate([[first], rest])
-        x, f = _nelder_mead(objective, x0, step=math.pi / 10.0)
-        if f < best_f:
-            best_x, best_f = x, f
-    if best_x is None or not np.isfinite(best_f):
-        raise OptimizationError("no restart produced a finite objective")
-    w = angles_to_unit(best_x)
+            vals = [value(t) for t in grid]
+            i = int(np.argmax(vals))
+            t, f = _golden_max(value, grid[i] - step, grid[i] + step)
+            if vals[i] >= f:
+                t, f = grid[i], vals[i]
+            if f > best:
+                w, best = math.cos(t) * w + math.sin(t) * u, f
+        if p == 2 or abs(start @ w) > math.cos(step):
+            break
+    if best == -math.inf:
+        raise OptimizationError("no direction gave a finite objective")
     if p == 2:
-        theta = math.atan2(w[0], w[1]) % math.pi
-        return Direction.from_angle(theta)
+        return Direction.from_angle(math.atan2(w[0], w[1]) % math.pi)
     return Direction(w=w)

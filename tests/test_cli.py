@@ -71,7 +71,7 @@ def test_sweep_manifest_replay(tmp_path, data_csv):
     first = tmp_path / "first.csv"
     assert run("sweep", "--data", data_csv, "--grid", 8, "--out", first) == 0
     manifest = first.with_suffix(".csv.manifest")
-    assert "version=0.1.2" in manifest.read_text().splitlines()
+    assert "version=0.1.3" in manifest.read_text().splitlines()
     replay = tmp_path / "replay.csv"
     assert run("sweep", "--config", manifest, "--out", replay) == 0
     assert first.read_bytes() == replay.read_bytes()
@@ -133,6 +133,18 @@ def test_ica_mspacing(tmp_path, data_csv):
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     W = rows[:, 1:3]
     assert np.abs(W @ W.T - np.eye(2)).max() < 1e-8
+
+
+@pytest.mark.parametrize("method", ["fastica", "mspacing"])
+@pytest.mark.parametrize(
+    "components, message",
+    [(0, "n_components must be >= 1"), (3, "asked for 3 components in 2 dimensions")],
+)
+def test_ica_components_out_of_range(tmp_path, data_csv, capsys, method, components, message):
+    out = tmp_path / "bad.csv"
+    code = run("ica", "--data", data_csv, "--method", method, "--components", components, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_rates_outputs(tmp_path):
