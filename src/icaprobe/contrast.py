@@ -22,7 +22,7 @@ and the Taylor-level negentropy (1/2)||c||^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -108,12 +108,14 @@ class KFunction:
     gamma: float
     delta: float
 
-    def numerator(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.g.value(x) + self.alpha * x * x + self.beta * x + self.gamma
+    def from_g_values(self, x, gv):
+        """K(x) from gv = G(x) already evaluated, so a caller that also
+        needs G(x) evaluates it once."""
+        return (gv + self.alpha * x * x + self.beta * x + self.gamma) / self.delta
 
     def __call__(self, x):
-        return self.numerator(x) / self.delta
+        x = np.asarray(x, dtype=float)
+        return self.from_g_values(x, self.g.value(x))
 
     @property
     def tail_degree(self) -> int:
@@ -153,11 +155,8 @@ def build_k(g: GFunction) -> KFunction:
     alpha = 0.5 * (m0 - m2)
     beta = -m1
     gamma = 0.5 * (m2 - 3.0 * m0)
-
-    def numerator(t):
-        t = np.asarray(t, dtype=float)
-        return g.value(t) + alpha * t * t + beta * t + gamma
-
+    # K's numerator, exactly: dividing by 1.0 rounds nothing
+    numerator = KFunction(g=g, alpha=alpha, beta=beta, gamma=gamma, delta=1.0)
     norm_sq = float(w @ numerator(x) ** 2)
     if norm_sq < 1e-14:
         raise DegenerateGError(
@@ -165,7 +164,7 @@ def build_k(g: GFunction) -> KFunction:
             f"{norm_sq:.2e}); K would be 0/0"
         )
     delta = _delta_sign(numerator) * math.sqrt(norm_sq)
-    return KFunction(g=g, alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+    return replace(numerator, delta=delta)
 
 
 def c_value(y, k: KFunction) -> float:

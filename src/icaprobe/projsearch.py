@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import (
-    GFunction,
-    build_k,
-    c_value,
-    fastica_contrast,
-    kurtosis_contrast,
-    logcosh,
-)
+from .contrast import GFunction, build_k, gaussian_expectation, kurtosis_contrast, logcosh
 from .entropy import ETA_1, MSpacingConfig, mspacing_negentropy
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
@@ -75,7 +68,10 @@ def sweep(
     Every direction gets all of :data:`ALL_CONTRASTS`, with K built from
     ``g`` (logcosh by default).  J[f0] entries where the surrogate solver
     fails are NaN with the failure flag set; they are reported, never
-    fabricated.
+    fabricated.  G is evaluated once per direction and feeds both the
+    fastICA contrast and c = mean K(y), with the arithmetic of
+    :func:`~icaprobe.contrast.fastica_contrast` and
+    :func:`~icaprobe.contrast.c_value`.
     """
     if D.n_components != 2:
         raise UnsupportedDimensionError(
@@ -86,16 +82,19 @@ def sweep(
     if g is None:
         g = logcosh()
     k = build_k(g)
+    g_gauss = gaussian_expectation(g)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
     values = {name: np.empty(grid_size) for name in ALL_CONTRASTS}
     f0_failed = np.zeros(grid_size, dtype=bool)
     for i, theta in enumerate(thetas):
         y = D.values @ np.array([math.sin(theta), math.cos(theta)])
-        values["j_mspacing"][i] = mspacing_negentropy(y, mspacing)
-        values["j_hat_star"][i] = fastica_contrast(y, g)
+        values["j_mspacing"][i] = mspacing_negentropy(y, mspacing)  # rejects non-finite y
+        gv = g.value(y)
+        values["j_hat_star"][i] = (np.mean(gv) - g_gauss) ** 2
         values["j_kurtosis"][i] = kurtosis_contrast(y)
+        c = float(np.mean(k.from_g_values(y, gv)))
         try:
-            values["j_f0"][i] = ETA_1 - solve_f0(c_value(y, k), k).entropy
+            values["j_f0"][i] = ETA_1 - solve_f0(c, k).entropy
         except ConvergenceError:
             values["j_f0"][i] = math.nan
             f0_failed[i] = True

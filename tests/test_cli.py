@@ -71,7 +71,7 @@ def test_sweep_manifest_replay(tmp_path, data_csv):
     first = tmp_path / "first.csv"
     assert run("sweep", "--data", data_csv, "--grid", 8, "--out", first) == 0
     manifest = first.with_suffix(".csv.manifest")
-    assert "version=0.1.3" in manifest.read_text().splitlines()
+    assert "version=0.1.4" in manifest.read_text().splitlines()
     replay = tmp_path / "replay.csv"
     assert run("sweep", "--config", manifest, "--out", replay) == 0
     assert first.read_bytes() == replay.read_bytes()

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icaprobe.cli import DENSITY_GRID
 from icaprobe.entropy import (
     ETA_1,
-    KDE_BLOCK_ELEMENTS,
     MSpacingConfig,
     digamma,
     gaussian_entropy,
@@ -201,14 +202,34 @@ def test_kde_mass_normalized(rng):
     assert np.trapezoid(est, grid) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_kde_blocks_match_dense_formula():
+def test_kde_window_matches_dense_formula():
+    # The window drops less than 2^-53 of each row sum, so the windowed and
+    # dense sums differ only at rounding level.
     y = ReproducibleStream(1005).normals(6000)
-    grid = np.linspace(-4.0, 4.0, 801)
-    assert grid.size * y.size > KDE_BLOCK_ELEMENTS  # more than one block
     h = silverman_bandwidth(y)
+    # -40 and 40 lie far past every sample.  y.max() + 12 h has no sample
+    # within 9 bandwidths, so the window must grow to hold the nearest one.
+    grid = np.concatenate([np.linspace(-4.0, 4.0, 801), [-40.0, 40.0, y.max() + 12.0 * h]])
     u = (grid[:, None] - y[None, :]) / h
     dense = (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)).sum(axis=1) / (y.size * h)
-    assert np.array_equal(kde(y, grid), dense)
+    est = kde(y, grid)
+    far = np.abs(grid) == 40.0
+    assert np.all(dense[far] == 0.0) and np.all(est[far] == 0.0)
+    assert dense[-1] > 0.0
+    assert np.max(np.abs(est[~far] - dense[~far]) / dense[~far]) <= 2e-15
+
+
+def test_kde_memory_bounded_in_n():
+    # the sorted copy of the sample is 0.8 MB; the whole kernel matrix
+    # would be 641 MB
+    y = ReproducibleStream(1007).normals(100_000)
+    tracemalloc.start()
+    try:
+        kde(y, DENSITY_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_kde_validation(rng):
@@ -221,4 +242,10 @@ def test_kde_validation(rng):
         kde(y, grid.reshape(2, 5))
     with pytest.raises(DegenerateSampleError):
         kde(np.zeros(50), grid)
+    with pytest.raises(ValueError, match="sample must be finite"):
+        kde(np.append(y, math.nan), grid)
+    with pytest.raises(ValueError, match="sample must be finite"):
+        kde(np.append(y, math.inf), grid)
+    with pytest.raises(ValueError, match="grid must be finite"):
+        kde(y, np.append(grid, math.nan))
     assert silverman_bandwidth(y) > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,22 @@ def test_sweep_matches_direct_evaluation(gaussian_data):
         assert res.values["j_kurtosis"][i] == kurtosis_contrast(y)
         assert res.values["j_f0"][i] == ETA_1 - solve_f0(c_value(y, k), k).entropy
     assert not res.f0_failed.any()
+
+
+def test_sweep_evaluates_g_once_per_direction(gaussian_data):
+    g = logcosh()
+    n = gaussian_data.values.shape[0]
+    sample_shapes = []
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        sample_shapes.append(x.shape)
+        return g.value(x)
+
+    # K's coefficients and the surrogate solver evaluate G on quadrature
+    # nodes, never on n points
+    sweep(gaussian_data, grid_size=16, g=dataclasses.replace(g, value=value))
+    assert sample_shapes.count((n,)) == 16
 
 
 def test_sweep_counterexample_separation(banded_data):
