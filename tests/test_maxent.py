@@ -1,10 +1,12 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from icaprobe import maxent
 from icaprobe.contrast import build_k, hat_j_from_c, quartic
 from icaprobe.entropy import ETA_1
 from icaprobe.errors import ConvergenceError, InvalidDensityError
@@ -272,13 +274,35 @@ def test_dual_entropy_matches_quadrature_on_uniform_mixtures(family, request):
         assert res.surrogate.entropy == pytest.approx(h_quad, abs=1e-10)
 
 
-def test_mixture_solves_past_a_coarse_grid_proving_infeasibility(k_logcosh):
-    # at eps = 0.001 the 2^15-point grid's continuation finds the dual
-    # unbounded and 2^16 stalls; 2^17 and 2^19 reach the constraint value,
-    # so one grid's verdict must not end the ladder
+def test_mixture_solves_past_a_coarse_grid_proving_infeasibility(k_logcosh, monkeypatch):
+    # at eps = 0.001 the direct solve on the 2^15-point grid hits the dual
+    # floor and 2^16 stalls; 2^17 and 2^19 reach the constraint value, so
+    # one grid's verdict must not end the ladder.  Each rule gets one
+    # Newton run: the Gauss-Hermite rung plus at most one per grid.
+    rule_sizes = []
+    dual_newton = maxent._dual_newton
+
+    def counted(c, k, x, *rest):
+        rule_sizes.append(x.size)
+        return dual_newton(c, k, x, *rest)
+
+    monkeypatch.setattr(maxent, "_dual_newton", counted)
     res = uniform_mixture_case(0.001, k_logcosh)
     assert np.isfinite(res.j_f0)
     assert res.j_f0 <= res.j_true
+    assert len(rule_sizes) <= 1 + len(maxent._INTERVAL_GRIDS)
+
+
+def test_far_negexp_solves_emit_no_overflow_warning(k_negexp):
+    # f0 overflows on the order-400 Gauss-Hermite re-check at c >= 1.5;
+    # that must send the solve to the interval rung quietly, not through
+    # a NaN comparison
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert solve_f0(1.5, k_negexp).entropy == 0.7977725922103684
+        assert solve_f0(1.6, k_negexp).entropy == 0.7166733312928656
+        with pytest.raises(ConvergenceError):
+            solve_f0(1.8, k_negexp)
 
 
 def test_failed_solve_frees_its_grids(k_logcosh):
