@@ -38,6 +38,23 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+class InfeasibleConstraintError(ConvergenceError):
+    """The constraint value lies outside the proven range of E[K].
+
+    Carries the value ``c``, the violated ``bound`` and its ``side``
+    (``"lower"`` or ``"upper"``); no surrogate density exists there.
+    """
+
+    def __init__(self, c, bound, side, margin):
+        super().__init__(
+            f"constraint value {c:.6g} lies past the {side} bound {bound:.6g} of the "
+            f"feasible moment range (margin {margin:g}); no surrogate exists there"
+        )
+        self.c = c
+        self.bound = bound
+        self.side = side
+
+
 class StepDegenerateError(RuntimeError):
     """Fixed-point update collapsed to the zero vector."""
 

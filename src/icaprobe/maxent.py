@@ -21,6 +21,15 @@ is needed.  The normalizer is kept in log form
 because A leaves double range when c approaches the boundary of the moment
 problem (the surrogate degenerates into narrow spikes there).
 
+f0 exists only for c in a range fixed by K alone, computed once per K.
+Its lower end c_lo = K(1), the two-point law on +-1, holds where a
+quadratic minorant certifies it (Karlin & Studden 1966).  Its upper end is
+where logcosh's non-steep face reaches unit variance (Barndorff-Nielsen
+1978; 0.213932 for alpha = 1), 0 for the quartic and +inf for negexp.
+A c the Gauss-Hermite rule does not settle and that lies more than 1e-4
+outside the range raises :class:`InfeasibleConstraintError` at once,
+without the interval grids.
+
 The optimal dual value is the surrogate's entropy (Cover & Thomas, ch. 12):
 H[f0] = log Z - lambda . E_f0[(x, x^2, K)], taken with the moments the
 returned lambda attains on the solve rule, so J[f0] needs no second
@@ -36,12 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .contrast import KFunction, build_k, hat_j_from_c, logcosh
 from .entropy import ETA_1
-from .errors import ConvergenceError, InvalidDensityError
+from .errors import ConvergenceError, InfeasibleConstraintError, InvalidDensityError
 from .quadrature import DEFAULT_ORDER, DENSITY_SUPPORT, gaussian_weighted_rule, integrate_interval
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -64,6 +74,10 @@ _INTERVAL_GRIDS = (1 << 15, 1 << 16, 1 << 17, 1 << 19)
 #: proves the constraint value lies outside the feasible moment range and
 #: the dual is unbounded; bail out instead of grinding the line search.
 _DUAL_FLOOR = -40.0
+
+#: Constraint values farther than this past the proven range of E[K] are
+#: rejected before the interval rung; closer ones go to the ladder.
+_RANGE_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -272,7 +286,10 @@ def _solve_interval(c: float, k: KFunction, tol: float) -> SurrogateDensity:
 
     Every grid is tried, even after a coarser one's dual fell below
     :data:`_DUAL_FLOOR`: a grid proves infeasibility only for itself, and
-    finer grids reach further toward the moment boundary.
+    finer grids reach further toward the moment boundary.  :func:`solve_f0`
+    sends only c within :data:`_RANGE_MARGIN` (1e-4) of the proven range
+    (c_lo, c_hi) of :func:`_feasible_range` here; the ladder's own frontier
+    agrees with that range to 1e-5 on every side measured.
     """
     last_err = None
     try:
@@ -297,6 +314,85 @@ def _solve_interval(c: float, k: KFunction, tol: float) -> SurrogateDensity:
         del last_err
 
 
+def _lower_end(k: KFunction) -> float:
+    """K(1) when a certificate proves E[K] >= K(1) - margin for every law
+    with mean 0 and variance 1; -inf when none holds.
+
+    The certificate is the quadratic minorant through the two-point law on
+    +-1 (Karlin & Studden 1966): r(x) = K(x) - K(1) - l2 (x^2 - 1) with
+    l2 = K'(1) / 2, so E[K] >= K(1) + E[r].  r is checked on [-60, 60]
+    at spacing h = 1/256: on each cell it lies above the smaller end value
+    less h^2 M / 8, with M twice the larger end value of |r''|.  Past
+    +-60 r grows, because its leading power has a positive coefficient
+    (l2 < tail_coeff for a quadratic tail) and its slope points outward.
+    """
+    l2 = 0.5 * float(k.g.deriv(1.0) + 2.0 * k.alpha + k.beta) / k.delta
+    if k.tail_degree == 2 and not l2 < k.tail_coeff:
+        return -math.inf
+    h = 1.0 / 256.0
+    x = np.linspace(-60.0, 60.0, 120 * 256 + 1)
+    k1 = float(k(1.0))
+    r = k(x) - k1 - l2 * (x * x - 1.0)
+    curv = np.abs((k.g.deriv2(x) + 2.0 * k.alpha) / k.delta - 2.0 * l2)
+    low = np.minimum(r[:-1], r[1:]) - 0.25 * h * h * np.maximum(curv[:-1], curv[1:])
+    ends = np.array([-60.0, 60.0])
+    slope = (k.g.deriv(ends) + 2.0 * k.alpha * ends + k.beta) / k.delta - 2.0 * l2 * ends
+    if low.min() < -_RANGE_MARGIN or not (slope[0] < 0.0 < slope[1]):
+        return -math.inf
+    return k1
+
+
+def _upper_end(k: KFunction) -> float:
+    """The largest E[K] a surrogate attains at unit variance; +inf where
+    no bound is proven.
+
+    A quartic tail admits only a <= 0, and a = 0 is the Gaussian, so the
+    bound is 0: c grows strictly with a along the mean-0, variance-1
+    manifold, since the family's mean map is the gradient of a convex
+    function.  A quadratic tail whose K - q x^2 (q = tail_coeff) falls
+    linearly makes the family non-steep (Barndorff-Nielsen 1978): its face
+    zeta = -a q holds Laplace-tailed densities, and past the c where that
+    face reaches unit variance the maximum entropy is not attained.  That
+    face is solved for an even K (kappa = 0) by bisection on a over
+    [-200, 200].  A bounded G (negexp) leaves the family steep.
+    """
+    if k.tail_degree == 4:
+        return 0.0
+    x = np.linspace(-200.0, 200.0, 8193)
+    kx = k(x)
+    if np.abs(kx - kx[::-1]).max() > 1e-12 * np.abs(kx).max():
+        return math.inf  # the face needs kappa = 0
+    s = kx - k.tail_coeff * x * x
+    s -= s.max()
+    if not s[-1] < s[6144] - 50.0:  # K - q x^2 must fall from x = 100 to 200
+        return math.inf
+    x2 = x * x
+
+    def moments(a):
+        p = np.exp(a * s)
+        z = p.sum()
+        return (p @ x2) / z, (p @ kx) / z
+
+    lo, hi = 1e-3, 1e3
+    if not moments(lo)[0] > 1.0 > moments(hi)[0]:
+        return math.inf
+    for _ in range(64):
+        mid = math.sqrt(lo * hi)
+        if moments(mid)[0] > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    if not hi * s[-1] < -40.0:  # the face density must vanish at the grid ends
+        return math.inf
+    return float(moments(hi)[1])
+
+
+@lru_cache(maxsize=32)
+def _feasible_range(k: KFunction) -> tuple[float, float]:
+    """(c_lo, c_hi): outside it, past :data:`_RANGE_MARGIN`, f0 does not exist."""
+    return _lower_end(k), _upper_end(k)
+
+
 def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
     """Solve for the surrogate density at constraint value c.
 
@@ -304,8 +400,9 @@ def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
     re-integrates to within 10 tol on the rule of twice the order;
     otherwise the interval rung solves on the density support, which
     resolves the narrow spikes f0 develops near the moment boundary.
-    Divergence at large |c| is an expected boundary of the method and
-    raises :class:`ConvergenceError`.
+    Before that rung, c farther than 1e-4 past the proven range of E[K]
+    raises :class:`InfeasibleConstraintError`; a failure inside it raises
+    :class:`ConvergenceError`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -317,6 +414,11 @@ def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
             return d
     except ConvergenceError:
         pass
+    c_lo, c_hi = _feasible_range(k)
+    if c < c_lo - _RANGE_MARGIN:
+        raise InfeasibleConstraintError(c, c_lo, "lower", _RANGE_MARGIN)
+    if c > c_hi + _RANGE_MARGIN:
+        raise InfeasibleConstraintError(c, c_hi, "upper", _RANGE_MARGIN)
     return _solve_interval(c, k, tol)
 
 

@@ -109,6 +109,24 @@ def test_densities_fixed_angle(tmp_path, data_csv):
     assert rows[:, 4].max() == 0  # solver succeeded
 
 
+def test_densities_reports_the_violated_bound(tmp_path, capsys):
+    # heavy-tail injections along x1 put c far above logcosh's upper bound
+    # at theta = pi/2; the warning names c and the bound, and f0 is flagged
+    from icaprobe.rng import ReproducibleStream
+
+    base = ReproducibleStream(93).normals(1000).reshape(500, 2)
+    base[:6, 0] = np.array([8.0, -8.0, 9.0, -9.0, 10.0, -10.0])
+    data = tmp_path / "heavy.csv"
+    np.savetxt(data, base, fmt="%.17g", delimiter=",", header="x1,x2", comments="")
+    out = tmp_path / "heavy_dens.csv"
+    assert run("densities", "--data", data, "--direction", repr(math.pi / 2), "--out", out) == 0
+    err = capsys.readouterr().err
+    assert "warning: surrogate solver failed (constraint value 1.19" in err
+    assert "upper bound 0.213932" in err
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[:, 4].min() == 1 and np.isnan(rows[:, 2]).all()
+
+
 def test_densities_optimized_directions(tmp_path, data_csv):
     for choice in ("mspacing-opt", "fastica-opt"):
         out = tmp_path / f"dens_{choice}.csv"

@@ -1,17 +1,21 @@
 import gc
 import math
+import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icaprobe import maxent
-from icaprobe.contrast import build_k, hat_j_from_c, quartic
+from icaprobe.contrast import build_k, hat_j_from_c, logcosh, negexp, quartic
 from icaprobe.entropy import ETA_1
-from icaprobe.errors import ConvergenceError, InvalidDensityError
+from icaprobe.errors import ConvergenceError, InfeasibleConstraintError, InvalidDensityError
 from icaprobe.maxent import (
     LinearizedDensity,
+    _feasible_range,
     _solve_gauss_hermite,
     _solve_interval,
     entropy_by_quadrature,
@@ -229,6 +233,111 @@ def test_quartic_positive_c_violates_integrability():
         solve_f0(0.1, k4)
 
 
+def test_quartic_positive_c_is_rejected_without_the_ladder():
+    # a quartic tail admits only a <= 0, whose largest E[K] is the
+    # Gaussian's 0; the ladder took 7.3 s over these points
+    k4 = build_k(quartic())
+    start = time.perf_counter()
+    for i in range(1, 21):
+        with pytest.raises(InfeasibleConstraintError) as exc:
+            solve_f0(0.1 * i, k4)
+        assert exc.value.side == "upper" and exc.value.bound == 0.0
+    assert time.perf_counter() - start < 1.0
+
+
+#: Each family's proven range of E[K]: the +-1 two-point law's K(1) below,
+#: the non-steep face's unit-variance c (logcosh) or the Gaussian's 0
+#: (quartic) above.
+_RANGES = {
+    "logcosh(1)": (logcosh(1.0), -0.744377, 0.213932),
+    "logcosh(1.5)": (logcosh(1.5), -0.862410, 0.285135),
+    "logcosh(2)": (logcosh(2.0), -0.923629, 0.325282),
+    "negexp": (negexp(), -0.825330, math.inf),
+    "quartic": (quartic(), -0.408248, 0.0),
+}
+_K = {name: build_k(g) for name, (g, _, _) in _RANGES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_RANGES))
+def test_feasible_range_values(name):
+    _, c_lo, c_hi = _RANGES[name]
+    lo, hi = _feasible_range(_K[name])
+    assert lo == pytest.approx(c_lo, abs=1e-6)
+    assert lo == float(_K[name](1.0))
+    assert hi == pytest.approx(c_hi, abs=1e-6)
+
+
+@given(
+    name=st.sampled_from(sorted(_RANGES)),
+    atoms=st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 1.0)), min_size=2, max_size=5
+    ),
+)
+@settings(max_examples=200)
+def test_no_standardized_law_goes_below_the_lower_bound(name, atoms):
+    x = np.array([a for a, _ in atoms])
+    p = np.array([w for _, w in atoms])
+    p /= p.sum()
+    x = x - p @ x
+    var = p @ (x * x)
+    if not var > 1e-6:
+        return
+    x /= math.sqrt(var)
+    k = _K[name]
+    assert p @ k(x) >= _feasible_range(k)[0] - 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, sides",
+    [("logcosh(1)", ("lower", "upper")), ("logcosh(2)", ("lower", "upper")), ("negexp", ("lower",))],
+)
+def test_ladder_frontier_matches_the_proven_range(name, sides):
+    # the ladder itself, without the range check: it solves just inside
+    # either end and fails just outside, where solve_f0 now rejects at once
+    k = _K[name]
+    bounds = dict(zip(("lower", "upper"), _feasible_range(k)))
+    for side in sides:
+        inward = 1e-3 if side == "lower" else -1e-3
+        c_in, c_out = bounds[side] + inward, bounds[side] - inward
+        try:
+            d = _solve_gauss_hermite(c_in, k, 1e-10)
+        except ConvergenceError:
+            d = _solve_interval(c_in, k, 1e-10)
+        assert d.residual <= 1e-10
+        assert solve_f0(c_in, k).residual <= 1e-10
+        with pytest.raises(ConvergenceError):
+            _solve_interval(c_out, k, 1e-10)
+        with pytest.raises(InfeasibleConstraintError) as exc:
+            solve_f0(c_out, k)
+        assert exc.value.side == side and exc.value.bound == bounds[side]
+
+
+def test_infeasible_error_names_the_violated_bound(k_logcosh):
+    with pytest.raises(InfeasibleConstraintError) as exc:
+        solve_f0(-1.0, k_logcosh)
+    err = exc.value
+    assert (err.c, err.side) == (-1.0, "lower")
+    assert err.bound == float(k_logcosh(1.0))
+    assert "constraint value -1 " in str(err) and "lower bound -0.744377" in str(err)
+
+
+@pytest.mark.parametrize("family", ["k_logcosh", "k_negexp"])
+def test_uniform_mixture_c_lies_inside_the_range(family, request, monkeypatch):
+    # as eps -> 0 the mixture's c tends to K(1), the lower bound, from above
+    k = request.getfixturevalue(family)
+    seen = []
+
+    def record(c, k, tol):
+        seen.append(c)
+        return types.SimpleNamespace(entropy=0.0)
+
+    monkeypatch.setattr(maxent, "solve_f0", record)
+    for eps in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0007, 0.0005, 0.0003):
+        uniform_mixture_case(eps, k)
+    c_lo, c_hi = _feasible_range(k)
+    assert all(c_lo < c < c_hi for c in seen)
+
+
 def test_uniform_mixture_moderate_epsilon(k_logcosh):
     res = uniform_mixture_case(0.5, k_logcosh)
     # analytic J[f]: eta(1) - log(2 eps / sigma), sigma^2 = 1 + eps + eps^2/3
@@ -301,24 +410,31 @@ def test_far_negexp_solves_emit_no_overflow_warning(k_negexp):
         warnings.simplefilter("error", RuntimeWarning)
         assert solve_f0(1.5, k_negexp).entropy == 0.7977725922103684
         assert solve_f0(1.6, k_negexp).entropy == 0.7166733312928656
-        with pytest.raises(ConvergenceError):
+        # negexp has no proven upper bound, so c = 1.8 still runs the ladder
+        with pytest.raises(ConvergenceError) as exc:
             solve_f0(1.8, k_negexp)
+        assert not isinstance(exc.value, InfeasibleConstraintError)
 
 
 def test_failed_solve_frees_its_grids(k_logcosh):
     # a failed solve must not leave its interval grids in a reference cycle
-    # that only the cyclic collector would reclaim (~40 MB at this c)
+    # that only the cyclic collector would reclaim (~40 MB at this c).  The
+    # c lies below the lower bound but inside the margin, so every grid of
+    # the ladder is tried and fails.
+    c = _feasible_range(k_logcosh)[0] - 5e-5
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         try:
-            solve_f0(-1.0, k_logcosh)
+            solve_f0(c, k_logcosh)
+        except InfeasibleConstraintError:
+            pytest.fail("c inside the margin must reach the interval ladder")
         except ConvergenceError:
             pass
         else:
-            pytest.fail("c = -1.0 is outside the feasible moment range")
+            pytest.fail("c is outside the feasible moment range")
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
@@ -363,6 +479,12 @@ def test_asymmetric_g_drives_odd_tilt(rule200):
     d = solve_f0(0.08, k)
     assert d.residual < 1e-10
     assert abs(d.kappa) > 1e-4  # odd tilt engaged
+    # the minorant certificate holds here too; the bound it proves is sound
+    # but not tight, and an odd K leaves the upper end unproven
+    lo, hi = _feasible_range(k)
+    assert lo == float(k(1.0)) and hi == math.inf
+    with pytest.raises(ConvergenceError):
+        _solve_interval(lo + 1e-3, k, 1e-10)
 
 
 def test_logcosh_alpha_two_solves():
