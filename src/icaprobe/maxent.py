@@ -14,10 +14,9 @@ This is the same residual system
 
 with the normalization equation eliminated exactly at every step.  The dual
 is strictly convex, so the damped iteration is monotone and its basin is
-limited only by quadrature resolution.  One Newton run from the Gaussian
-start (kappa, zeta, a) = (0, -1/2, c) per rule therefore suffices: where a
-rule cannot resolve f0, a finer rule is tried, and no continuation in c
-is needed.  The normalizer is kept in log form
+limited only by quadrature resolution.  One Newton run per rule therefore
+suffices: where a rule cannot resolve f0, a finer rule is tried, and no
+continuation in c is needed.  The normalizer is kept in log form
 because A leaves double range when c approaches the boundary of the moment
 problem (the surrogate degenerates into narrow spikes there).
 
@@ -26,9 +25,21 @@ Its lower end c_lo = K(1), the two-point law on +-1, holds where a
 quadratic minorant certifies it (Karlin & Studden 1966).  Its upper end is
 where logcosh's non-steep face reaches unit variance (Barndorff-Nielsen
 1978; 0.213932 for alpha = 1), 0 for the quartic and +inf for negexp.
-A c the Gauss-Hermite rule does not settle and that lies more than 1e-4
-outside the range raises :class:`InfeasibleConstraintError` at once,
-without the interval grids.
+The range is checked first: a c more than 1e-4 outside it raises
+:class:`InfeasibleConstraintError` before any Newton run.
+
+Inside the range two rungs follow.  The phi-weighted Gauss-Hermite rung
+starts at (kappa, zeta, a) = (0, -1/2, c), the linearization's guess; it
+has the exact Gaussian fixed point at c = 0, and which c it settles is
+pinned by stored references.  The interval rung solves on Simpson grids
+over the density support and starts at (0, -1/2, min(c, 0)).  K's growing
+tail is nonnegative (see :func:`~icaprobe.contrast.build_k`), so a <= 0
+keeps the start a proper density.  At a = c the exponent's leading
+coefficient -1/2 + c tail_coeff is positive once c tail_coeff > 1/2, the
+start grows toward the ends of the support, and the first Newton steps
+backtrack through dozens of halvings.
+Each solve reports its Newton iterations, line-search halvings and the
+node count of the rule that produced it.
 
 The optimal dual value is the surrogate's entropy (Cover & Thomas, ch. 12):
 H[f0] = log Z - lambda . E_f0[(x, x^2, K)], taken with the moments the
@@ -76,7 +87,7 @@ _INTERVAL_GRIDS = (1 << 15, 1 << 16, 1 << 17, 1 << 19)
 _DUAL_FLOOR = -40.0
 
 #: Constraint values farther than this past the proven range of E[K] are
-#: rejected before the interval rung; closer ones go to the ladder.
+#: rejected before any Newton run; closer ones go to the ladder.
 _RANGE_MARGIN = 1e-4
 
 
@@ -92,6 +103,9 @@ class SurrogateDensity:
     c: float
     residual: float
     entropy: float  # H[f0], the optimal dual value
+    iterations: int  # Newton steps, damped and finishing
+    halvings: int  # line-search step halvings
+    rule_size: int  # nodes of the rule that produced the solve
 
     @property
     def amplitude(self) -> float:
@@ -134,18 +148,28 @@ class LinearizedDensity:
 
 
 def _dual_newton(c, k, x, w, gaussian_weighted, tol):
-    """Damped Newton on the dual; returns (lam, log_amp, entropy, residual).
+    """Damped Newton on the dual; returns (lam, log_amp, entropy, residual,
+    iterations, halvings), the last two counting Newton steps (damped and
+    finishing) and line-search halvings.
 
-    The entropy is the dual value log Z - lam . E[m] at the moments lam
-    attains on (x, w), not at the target: the two differ by |a| times the
-    residual, which matters where |a| is large near the moment boundary.
+    The start is (kappa, zeta, a) = (0, -1/2, c) on the phi-weighted rule
+    and (0, -1/2, min(c, 0)) on a grid, where a > 0 can make the start
+    improper (see the module docstring).  The entropy is the dual value
+    log Z - lam . E[m] at the moments lam attains on (x, w), not at the
+    target: the two differ by |a| times the residual, which matters where
+    |a| is large near the moment boundary.
     """
     kx = k(x)
     moments = np.vstack([x, x * x, kx])
     shift = 0.5 if gaussian_weighted else 0.0
     log_const = _LOG_SQRT_2PI if gaussian_weighted else 0.0
-    target = np.array([0.0, 1.0, float(c)])
-    lam = np.array([0.0, -0.5, float(c)])
+    c = float(c)
+    target = np.array([0.0, 1.0, c])
+    # a <= 0 keeps a grid start integrable, since K's growing tail is
+    # nonnegative; the phi-weighted rule's finite nodes integrate any
+    # start, and a = 0 there would move which c that rung settles
+    lam = np.array([0.0, -0.5, c if gaussian_weighted else min(c, 0.0)])
+    iterations = halvings = 0
 
     def parts(lam):
         expo = lam[0] * x + (lam[1] + shift) * x * x + lam[2] * kx
@@ -168,7 +192,8 @@ def _dual_newton(c, k, x, w, gaussian_weighted, tol):
     for _ in range(MAX_ITER):
         gnorm = float(np.abs(grad).max())
         if gnorm <= tol:
-            return lam, -log_z, log_z - lam @ expect, gnorm
+            return lam, -log_z, log_z - lam @ expect, gnorm, iterations, halvings
+        iterations += 1
         centered = moments - expect[:, None]
         hess = (centered * p) @ centered.T
         try:
@@ -201,6 +226,7 @@ def _dual_newton(c, k, x, w, gaussian_weighted, tol):
                 if psi2 <= psi + 1e-4 * scale * slope:
                     break
             scale *= 0.5
+            halvings += 1
         else:
             raise ConvergenceError(f"line search stalled at residual {gnorm:.2e}", gnorm)
         lam = lam + scale * step
@@ -264,19 +290,22 @@ def _moment_residual(d, x, w, gaussian_weighted, c):
     )
 
 
-def _surrogate(c, k, lam, log_amp, entropy, residual) -> SurrogateDensity:
+def _surrogate(
+    c, k, rule_size, lam, log_amp, entropy, residual, iterations, halvings
+) -> SurrogateDensity:
     """The solved density, once it passes the integrability guard."""
     _check_guard(k, lam[1], lam[2])
     return SurrogateDensity(
         log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
         residual=residual, entropy=entropy,
+        iterations=iterations, halvings=halvings, rule_size=rule_size,
     )
 
 
 def _solve_gauss_hermite(c: float, k: KFunction, tol: float) -> SurrogateDensity:
     """The phi-weighted rung: fast, with the exact Gaussian fixed point at c = 0."""
     gh = gaussian_weighted_rule()
-    return _surrogate(c, k, *_dual_newton(c, k, gh.nodes, gh.weights, True, tol))
+    return _surrogate(c, k, gh.nodes.size, *_dual_newton(c, k, gh.nodes, gh.weights, True, tol))
 
 
 def _solve_interval(c: float, k: KFunction, tol: float) -> SurrogateDensity:
@@ -284,12 +313,14 @@ def _solve_interval(c: float, k: KFunction, tol: float) -> SurrogateDensity:
     support, refined until the solution re-integrates consistently on the
     doubled grid.
 
-    Every grid is tried, even after a coarser one's dual fell below
-    :data:`_DUAL_FLOOR`: a grid proves infeasibility only for itself, and
-    finer grids reach further toward the moment boundary.  :func:`solve_f0`
-    sends only c within :data:`_RANGE_MARGIN` (1e-4) of the proven range
-    (c_lo, c_hi) of :func:`_feasible_range` here; the ladder's own frontier
-    agrees with that range to 1e-5 on every side measured.
+    Each run starts at (kappa, zeta, a) = (0, -1/2, min(c, 0)), a proper
+    density on every grid.  Every grid is tried, even after a coarser
+    one's dual fell below :data:`_DUAL_FLOOR`: a grid proves infeasibility
+    only for itself, and finer grids reach further toward the moment
+    boundary.  :func:`solve_f0` sends only c within :data:`_RANGE_MARGIN`
+    (1e-4) of the proven range (c_lo, c_hi) of :func:`_feasible_range`
+    here; the ladder's own frontier agrees with that range to 1e-5 on
+    every side measured.
     """
     last_err = None
     try:
@@ -300,7 +331,7 @@ def _solve_interval(c: float, k: KFunction, tol: float) -> SurrogateDensity:
             except ConvergenceError as err:
                 last_err = err
                 continue
-            d = _surrogate(c, k, *solved)
+            d = _surrogate(c, k, x.size, *solved)
             if ngrid == _INTERVAL_GRIDS[-1]:
                 return d
             x2, w2 = _interval_points(2 * ngrid)
@@ -396,17 +427,25 @@ def _feasible_range(k: KFunction) -> tuple[float, float]:
 def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
     """Solve for the surrogate density at constraint value c.
 
-    The Gauss-Hermite rung is tried first and kept when its solution
-    re-integrates to within 10 tol on the rule of twice the order;
-    otherwise the interval rung solves on the density support, which
-    resolves the narrow spikes f0 develops near the moment boundary.
-    Before that rung, c farther than 1e-4 past the proven range of E[K]
-    raises :class:`InfeasibleConstraintError`; a failure inside it raises
-    :class:`ConvergenceError`.
+    A non-finite c raises ValueError, and c farther than 1e-4 past the
+    proven range of E[K] raises :class:`InfeasibleConstraintError`, both
+    before any Newton run.  Then the Gauss-Hermite rung is tried, starting
+    at a = c, and kept when its solution re-integrates to within 10 tol on
+    the rule of twice the order; otherwise the interval rung, starting at
+    a = min(c, 0), solves on the density support, which resolves the
+    narrow spikes f0 develops near the moment boundary.  A failure there
+    raises :class:`ConvergenceError`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
+    c_lo, c_hi = _feasible_range(k)
+    if c < c_lo - _RANGE_MARGIN:
+        raise InfeasibleConstraintError(c, c_lo, "lower", _RANGE_MARGIN)
+    if c > c_hi + _RANGE_MARGIN:
+        raise InfeasibleConstraintError(c, c_hi, "upper", _RANGE_MARGIN)
     try:
         d = _solve_gauss_hermite(c, k, tol)
         fine = gaussian_weighted_rule(2 * DEFAULT_ORDER)
@@ -414,11 +453,6 @@ def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
             return d
     except ConvergenceError:
         pass
-    c_lo, c_hi = _feasible_range(k)
-    if c < c_lo - _RANGE_MARGIN:
-        raise InfeasibleConstraintError(c, c_lo, "lower", _RANGE_MARGIN)
-    if c > c_hi + _RANGE_MARGIN:
-        raise InfeasibleConstraintError(c, c_hi, "upper", _RANGE_MARGIN)
     return _solve_interval(c, k, tol)
 
 

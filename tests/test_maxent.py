@@ -321,6 +321,53 @@ def test_infeasible_error_names_the_violated_bound(k_logcosh):
     assert "constraint value -1 " in str(err) and "lower bound -0.744377" in str(err)
 
 
+def _count_dual_newton(monkeypatch):
+    calls = []
+    dual_newton = maxent._dual_newton
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return dual_newton(*args)
+
+    monkeypatch.setattr(maxent, "_dual_newton", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, c", [("logcosh(1)", 0.7), ("logcosh(1)", -1.0), ("negexp", -0.9), ("quartic", 0.5)]
+)
+def test_infeasible_c_is_rejected_before_any_newton_run(name, c, monkeypatch):
+    calls = _count_dual_newton(monkeypatch)
+    with pytest.raises(InfeasibleConstraintError):
+        solve_f0(c, _K[name])
+    assert calls == []
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_c_is_rejected_before_any_newton_run(c, k_logcosh, monkeypatch):
+    calls = _count_dual_newton(monkeypatch)
+    with pytest.raises(ValueError, match="c must be finite"):
+        solve_f0(c, k_logcosh)
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", ["k_logcosh", "k_negexp"])
+def test_interval_rung_needs_few_newton_steps_over_the_scan(family, request):
+    # from a = c the start is improper for c tail_coeff > 1/2 and the
+    # first steps backtracked up to 255 times; from a = min(c, 0) every
+    # in-range scan value settles in at most 9 steps and 2 halvings
+    k = request.getfixturevalue(family)
+    c_lo, c_hi = _feasible_range(k)
+    grids = {n + 1 for n in maxent._INTERVAL_GRIDS}
+    scan = [c for c in np.round(np.linspace(-1.0, 1.0, 41), 2) if c_lo <= c <= c_hi]
+    for c in scan:
+        d = _solve_interval(c, k, 1e-10)
+        assert d.residual <= 1e-10
+        assert d.iterations <= 12 and d.halvings <= 5, (c, d.iterations, d.halvings)
+        assert d.rule_size in grids
+    assert solve_f0(0.05, k).rule_size == gaussian_weighted_rule().nodes.size
+
+
 @pytest.mark.parametrize("family", ["k_logcosh", "k_negexp"])
 def test_uniform_mixture_c_lies_inside_the_range(family, request, monkeypatch):
     # as eps -> 0 the mixture's c tends to K(1), the lower bound, from above
@@ -408,8 +455,8 @@ def test_far_negexp_solves_emit_no_overflow_warning(k_negexp):
     # a NaN comparison
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert solve_f0(1.5, k_negexp).entropy == 0.7977725922103684
-        assert solve_f0(1.6, k_negexp).entropy == 0.7166733312928656
+        assert solve_f0(1.5, k_negexp).entropy == 0.7977725922103676
+        assert solve_f0(1.6, k_negexp).entropy == 0.7166733312928671
         # negexp has no proven upper bound, so c = 1.8 still runs the ladder
         with pytest.raises(ConvergenceError) as exc:
             solve_f0(1.8, k_negexp)

@@ -8,7 +8,7 @@ from icaprobe.contrast import build_k, c_value, fastica_contrast, kurtosis_contr
 from icaprobe.datagen import GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources, rotation_2d
 from icaprobe.entropy import ETA_1, mspacing_negentropy
 from icaprobe.errors import OptimizationError
-from icaprobe.maxent import solve_f0
+from icaprobe.maxent import _feasible_range, solve_f0
 from icaprobe.projsearch import (
     SweepResult,
     UnsupportedDimensionError,
@@ -94,6 +94,14 @@ def test_sweep_counterexample_separation(banded_data):
     sep = min(sep, math.pi - sep)
     assert sep > math.radians(20.0)
     assert not res.f0_failed.any()
+
+
+def test_sweep_computes_the_feasible_range_once(banded_data):
+    # solve_f0 checks the range before every solve; the cache keeps that
+    # to one computation per K, however many directions the sweep has
+    before = _feasible_range.cache_info().misses
+    sweep(banded_data)
+    assert _feasible_range.cache_info().misses == before + 1
 
 
 def test_sweep_argmax_skips_failures():
