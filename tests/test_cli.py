@@ -180,6 +180,13 @@ def test_rates_outputs(tmp_path):
     assert svg.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rates_rejects_a_non_finite_c_as_invalid_input(tmp_path, value, capsys):
+    # a non-finite c is bad input (exit 2), not a solver failure (exit 3)
+    assert run("rates", "--c-grid", f"0.1,{value}", "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == "error: c must be finite\n"
+
+
 def test_exit_code_invalid_args(tmp_path):
     assert run("sweep", "--out", tmp_path / "x.csv") == 2  # no data
 
