@@ -2,16 +2,15 @@
 
 The package implements every stage between true negentropy and the
 contrast fastICA actually optimizes -- the maximum-entropy surrogate f0,
-its linearization, the Taylor-level contrast, and the Monte-Carlo sample
-contrast -- next to a direct m-spacing negentropy estimate, plus the
-banded-Gaussian generator whose obvious structure the final contrast
-misses.
+its linearization, the Taylor-level contrast, and the sample contrast
+against a quadrature Gaussian baseline -- next to a direct m-spacing
+negentropy estimate, plus the banded-Gaussian generator whose obvious
+structure the final contrast misses.
 """
 
 from .contrast import (
     GFunction,
     KFunction,
-    MonteCarloBaseline,
     build_k,
     c_value,
     fastica_contrast,

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateGError
 from .quadrature import gaussian_weighted_rule
-from .rng import ReproducibleStream
 
 #: Grid used when the tail test cannot decide the sign of delta.
 _SIGN_GRID = np.linspace(-12.0, 12.0, 4001)
@@ -50,8 +50,13 @@ def logcosh(alpha: float = 1.0) -> GFunction:
     """G(x) = (1/alpha) log cosh(alpha x), alpha in [1, 2]."""
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"logcosh alpha must be in [1, 2], got {alpha!r}")
-    a = float(alpha)
+    return _logcosh(float(alpha))
 
+
+# The factories are memoized so that equal arguments give the same GFunction,
+# and the caches keyed by K (the feasible range) hit across calls.
+@cache
+def _logcosh(a: float) -> GFunction:
     def value(x):
         x = np.asarray(x, dtype=float)
         # log cosh(ax) = |ax| + log((1 + exp(-2|ax|)) / 2), overflow-safe
@@ -66,6 +71,7 @@ def logcosh(alpha: float = 1.0) -> GFunction:
     )
 
 
+@cache
 def negexp() -> GFunction:
     """G(x) = -exp(-x^2 / 2)."""
 
@@ -84,6 +90,7 @@ def negexp() -> GFunction:
     return GFunction(name="negexp", value=value, deriv=deriv, deriv2=deriv2)
 
 
+@cache
 def quartic() -> GFunction:
     """G(x) = x^4; admitted for the kurtosis-style contrast and K checks."""
     return GFunction(
@@ -182,41 +189,13 @@ def gaussian_expectation(g: GFunction) -> float:
     return gaussian_weighted_rule().apply(g.value)
 
 
-@dataclass(frozen=True)
-class MonteCarloBaseline:
-    """Gaussian reference term of the contrast as (1/L) sum G(z_j)."""
-
-    n_draws: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_draws < 1:
-            raise ValueError("n_draws must be >= 1")
-
-    def sample(self) -> np.ndarray:
-        return ReproducibleStream(self.seed).normals(self.n_draws)
-
-
-def fastica_contrast(
-    y,
-    g: GFunction,
-    baseline: str | MonteCarloBaseline = "quadrature",
-) -> float:
-    """The final sample contrast (mean G(y) - B)^2.
-
-    B is E[G(Z)] by deterministic quadrature (default) or a Monte-Carlo
-    Gaussian sample mean in the literal mode.
-    """
+def fastica_contrast(y, g: GFunction) -> float:
+    """The final sample contrast (mean G(y) - E[G(Z)])^2, with E[G(Z)] by
+    Gaussian quadrature."""
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("sample must be nonempty")
-    if isinstance(baseline, MonteCarloBaseline):
-        b = float(np.mean(g.value(baseline.sample())))
-    elif baseline == "quadrature":
-        b = gaussian_expectation(g)
-    else:
-        raise ValueError(f"unknown baseline {baseline!r}")
-    return float((np.mean(g.value(y)) - b) ** 2)
+    return float((np.mean(g.value(y)) - gaussian_expectation(g)) ** 2)
 
 
 def kurtosis_contrast(y) -> float:

@@ -5,9 +5,10 @@ The workhorse is the m-spacing estimator on sorted samples,
     H_{m,n}(y) = (1/n) sum_{i=1}^{n-m} log((n/m) (y_(i+m) - y_(i)))
                  - psi(m) + log(m),
 
-with psi the standard digamma function, consistent when m -> infinity and
-m/n -> 0.  The sqrt rule m = floor(sqrt(n)) satisfies both.  Gaussian
-entropy eta(sigma^2) = (1/2)(1 + log(2 pi sigma^2)) supplies the negentropy
+with psi the digamma function, taken in closed form at the integer m.  It
+is consistent when m -> infinity and m/n -> 0, and the sqrt rule
+m = floor(sqrt(n)) satisfies both.  Gaussian entropy
+eta(sigma^2) = (1/2)(1 + log(2 pi sigma^2)) supplies the negentropy
 reference, and a Gaussian-kernel density estimate supports figure output.
 """
 
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateSampleError
 
@@ -39,12 +40,16 @@ def gaussian_entropy(variance: float) -> float:
 ETA_1 = gaussian_entropy(1.0)
 
 
-def digamma(x: float) -> float:
-    """Standard digamma psi(x) for x > 0."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"digamma requires x > 0, got {x!r}")
-    return float(special.digamma(x))
+@cache
+def digamma(m: int) -> float:
+    """psi(m) = sum_{j<m} 1/j - gamma for a positive integer m.
+
+    Memoized: a sweep asks for the same m once per direction.
+    """
+    x = float(m)
+    if not (x >= 1 and x.is_integer()):
+        raise ValueError(f"digamma requires a positive integer, got {m!r}")
+    return math.fsum(1.0 / j for j in range(1, int(x))) - np.euler_gamma
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ deviate, unlike rejection-based normal samplers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 #: Versioned identifier recorded in output metadata.
 ALGORITHM = "philox4x64-u53-ndtri/v1"
@@ -36,6 +35,9 @@ class ReproducibleStream:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal deviates via the inverse CDF."""
+        # imported here: scipy.special is slow to import, and only sampling needs it
+        from scipy.special import ndtri
+
         return ndtri(self.uniforms(n))
 
     def unit_vector(self, p: int) -> np.ndarray:

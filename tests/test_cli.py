@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icaprobe
 from icaprobe.cli import main
 from icaprobe.manifest import read_config, sha256_file
 
@@ -288,3 +293,25 @@ def test_svg_outputs_deterministic(tmp_path, data_csv):
         assert run("sweep", "--data", data_csv, "--grid", 8, "--out", out, "--svg", svg) == 0
         svgs.append(svg.read_bytes())
     assert svgs[0] == svgs[1]
+
+
+def test_cli_import_loads_no_scipy_until_a_stream_samples():
+    # scipy.special costs more to import than a typical command's work;
+    # only sampling (ndtri) may load it, and only when it samples
+    probe = (
+        "import sys, icaprobe.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from icaprobe.rng import ReproducibleStream\n"
+        "ReproducibleStream(0).normals(1)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(icaprobe.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out == ["[]", "True"]

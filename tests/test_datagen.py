@@ -78,6 +78,12 @@ def test_metadata_constants_exported():
     assert BAND_CHECK_FRAME == "current-whitened"
 
 
+def test_normal_stream_is_pinned():
+    # RNG_ALGORITHM promises these bits; a change of sampler must bump it
+    got = [float.hex(float(v)) for v in ReproducibleStream(42).normals(3)]
+    assert got == ["0x1.d50dbe89fde84p-1", "-0x1.c2e8709160f64p-1", "0x1.1d8af555817f4p+0"]
+
+
 def test_mixed_sources_identity_gaussian():
     cfg = MixConfig(n=20000, kinds=("gaussian", "gaussian"), mixing=np.eye(2), seed=11)
     data, mixing = gen_mixed_sources(cfg)

@@ -73,14 +73,30 @@ def test_digamma_recurrence_at_two():
     assert digamma(2.0) == pytest.approx(1.0 - EULER_MASCHERONI, abs=1e-10)
 
 
-@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 6.0, 10.0, 316.0, 1234.5])
+@pytest.mark.parametrize("x", [1.0, 2.0, 6.0, 10.0, 44.0, 316.0, 1000.0])
 def test_digamma_against_series_oracle(x):
     assert digamma(x) == pytest.approx(digamma_oracle(x), abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [44, 316, 1000])
+def test_digamma_equals_scipy_at_the_benchmark_sizes(m):
+    # the sqrt-rule m at n = 2000, 1e5 and 1e6: the closed form must leave
+    # those m-spacing outputs bit-identical to scipy's digamma
+    from scipy import special
+
+    assert digamma(m) == float(special.digamma(m))
+
+
 def test_digamma_rejects_nonpositive():
+    for m in (0, 0.0, -1, -3.0, -math.inf):
+        with pytest.raises(ValueError):
+            digamma(m)
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 2.5, 1234.5, math.nan, math.inf])
+def test_digamma_rejects_non_integer(x):
     with pytest.raises(ValueError):
-        digamma(0.0)
+        digamma(x)
 
 
 def test_mspacing_gaussian_large_sample():

@@ -98,10 +98,13 @@ def test_sweep_counterexample_separation(banded_data):
 
 def test_sweep_computes_the_feasible_range_once(banded_data):
     # solve_f0 checks the range before every solve; the cache keeps that
-    # to one computation per K, however many directions the sweep has
-    before = _feasible_range.cache_info().misses
+    # to one computation per K, however many directions the sweep has, and
+    # a second sweep with the same G reuses it
+    _feasible_range.cache_clear()
     sweep(banded_data)
-    assert _feasible_range.cache_info().misses == before + 1
+    assert _feasible_range.cache_info().misses == 1
+    sweep(banded_data)
+    assert _feasible_range.cache_info().misses == 1
 
 
 def test_sweep_argmax_skips_failures():
