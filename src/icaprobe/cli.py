@@ -5,11 +5,13 @@ Subcommands cover the full study: ``generate`` (banded-Gaussian data),
 density against its surrogate), ``ica`` (fastICA or m-spacing loadings),
 and ``rates`` (convergence-rate study of the surrogate linearization).
 
-Every command writes CSV data plus a plain-text manifest of resolved
-configuration and output digests; a manifest can be fed back through
-``--config`` to replay the run byte for byte.  Explicit flags win over
-config-file values.  Exit codes: 0 success (including flagged partial
-results), 2 invalid arguments, 3 numerical failure, 4 I/O failure.
+Every setting is declared once, in :data:`OPTIONS`, which makes it both a
+flag and a manifest key.  Every command writes CSV data plus a plain-text
+manifest of resolved configuration and output digests; a manifest can be
+fed back through ``--config`` to replay the run byte for byte.  Explicit
+flags win over config-file values.  Exit codes: 0 success (including
+flagged partial results), 2 invalid arguments, 3 numerical failure, 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .maxent import (
     solve_f0,
     sup_error,
 )
-from .projsearch import optimize_direction, sweep
-from .whiten import RawData, whiten
+from .projsearch import ALL_CONTRASTS, mspacing_components, optimize_direction, sweep
+from .whiten import RawData, WhitenedData, whiten
 
 _NUMERIC_ERRORS = (
     ConvergenceError,
@@ -68,11 +70,6 @@ def _write_csv(path, header, rows):
             fh.write("\n")
 
 
-def _read_data_csv(path) -> RawData:
-    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return RawData(values)
-
-
 def _parse_bands(text: str) -> datagen.BandSpec:
     text = text.strip()
     if not text:
@@ -88,17 +85,53 @@ def _bands_str(bands: datagen.BandSpec) -> str:
     return ",".join(f"{lo:g}:{hi:g}" for lo, hi in bands.intervals)
 
 
-def _merge_config(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags, all as strings."""
-    cfg = {k: str(v) for k, v in defaults.items()}
-    if getattr(args, "config", None):
-        fromfile = manifest.read_config(args.config)
-        cfg.update({k: v for k, v in fromfile.items() if k in defaults})
-    for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = str(val)
-    return cfg
+_DATA = ("", {"help": "input CSV, one column per coordinate"})
+_G = ("logcosh", {"choices": sorted(GFAMILIES)})
+_ALPHA = (1.0, {})
+_SEED = (0, {"help": FASTICA_SEED_HELP})
+
+#: command -> {key: (default, extra add_argument keywords)}.  Each key is
+#: the flag ``--key`` (``_`` written as ``-``), typed like its default, and
+#: the manifest key; values merge as defaults < --config file < flags.
+OPTIONS = {
+    "generate": {
+        "n": (2000, {}),
+        "bands": (
+            _bands_str(datagen.BandSpec()),
+            {"help": 'vertical bands "lo:hi,lo:hi"; empty for none'},
+        ),
+        "seed": (42, {}),
+        "max_rounds": (100, {}),
+    },
+    "sweep": {
+        "data": _DATA,
+        "grid": (360, {}),
+        "g": _G,
+        "alpha": _ALPHA,
+        "m": ("auto", {"help": 'spacing parameter or "auto" for the sqrt rule'}),
+    },
+    "densities": {
+        "data": _DATA,
+        "direction": ("mspacing-opt", {"help": "angle in radians, mspacing-opt, or fastica-opt"}),
+        "g": _G,
+        "alpha": _ALPHA,
+        "seed": _SEED,
+    },
+    "ica": {
+        "data": _DATA,
+        "method": ("fastica", {"choices": ("fastica", "mspacing")}),
+        "components": (1, {}),
+        "g": _G,
+        "alpha": _ALPHA,
+        "seed": _SEED,
+    },
+    "rates": {
+        "g": _G,
+        "alpha": _ALPHA,
+        "c_grid": ("0.16,0.08,0.04,0.02", {}),
+        "delta": (0.05, {}),
+    },
+}
 
 
 def _g_function(cfg):
@@ -110,20 +143,21 @@ def _g_function(cfg):
     return GFAMILIES[name]()
 
 
-def _add_common(sub, out_required=True):
-    sub.add_argument("--config", help="key=value file merged under explicit flags")
-    sub.add_argument("--out", required=out_required, help="output CSV path")
-    sub.add_argument("--svg", help="optional SVG figure path")
+def _whitened_data(cfg) -> WhitenedData:
+    if not cfg["data"]:
+        raise ValueError("--data is required")
+    return whiten(RawData(np.loadtxt(cfg["data"], delimiter=",", skiprows=1, ndmin=2)))
 
 
-def cmd_generate(args) -> int:
-    defaults = {
-        "n": 2000,
-        "bands": _bands_str(datagen.BandSpec()),
-        "seed": 42,
-        "max_rounds": 100,
-    }
-    cfg = _merge_config(args, defaults)
+def _svg(path, figure, files) -> None:
+    """Write ``figure()`` to ``path`` and list it in ``files``; no path, no figure."""
+    if path:
+        Path(path).write_text(figure(), encoding="utf-8")
+        files.append(Path(path))
+
+
+def cmd_generate(cfg, out, svg):
+    """Banded-Gaussian counterexample data."""
     gen_cfg = datagen.GenConfig(
         n=int(cfg["n"]),
         bands=_parse_bands(cfg["bands"]),
@@ -131,45 +165,29 @@ def cmd_generate(args) -> int:
         max_rounds=int(cfg["max_rounds"]),
     )
     data = datagen.gen_banded_gaussian(gen_cfg)
-    out = Path(args.out)
     _write_csv(out, ["x1", "x2"], [(float(a), float(b)) for a, b in data.values])
     files = [out]
-    if args.svg:
-        Path(args.svg).write_text(
-            svgplot.scatter(data.values[:, 0], data.values[:, 1], xlabel="x1", ylabel="x2"),
-            encoding="utf-8",
-        )
-        files.append(Path(args.svg))
+    _svg(
+        svg,
+        lambda: svgplot.scatter(data.values[:, 0], data.values[:, 1], xlabel="x1", ylabel="x2"),
+        files,
+    )
     cfg["rng"] = datagen.RNG_ALGORITHM
     cfg["band_check_frame"] = datagen.BAND_CHECK_FRAME
-    manifest.write_manifest(out.with_suffix(out.suffix + ".manifest"), "generate", cfg, files)
-    return 0
+    return files
 
 
-def cmd_sweep(args) -> int:
-    defaults = {"data": "", "grid": 360, "g": "logcosh", "alpha": 1.0, "m": "auto"}
-    cfg = _merge_config(args, defaults)
-    if not cfg["data"]:
-        raise ValueError("--data is required")
-    data = whiten(_read_data_csv(cfg["data"]))
+def cmd_sweep(cfg, out, svg):
+    """Contrast curves over the half circle."""
+    data = _whitened_data(cfg)
     g = _g_function(cfg)
     mcfg = MSpacingConfig(m=None if cfg["m"] == "auto" else int(cfg["m"]))
     result = sweep(data, grid_size=int(cfg["grid"]), g=g, mspacing=mcfg)
-    out = Path(args.out)
-    rows = [
-        (
-            float(t),
-            float(result.values["j_mspacing"][i]),
-            float(result.values["j_f0"][i]),
-            float(result.values["j_hat_star"][i]),
-            float(result.values["j_kurtosis"][i]),
-            int(result.f0_failed[i]),
-        )
-        for i, t in enumerate(result.thetas)
-    ]
-    _write_csv(out, ["theta", "j_mspacing", "j_f0", "j_hat_star", "j_kurtosis", "f0_failed"], rows)
-    files = [out]
-    if args.svg:
+    failed = result.f0_failed.astype(int)
+    rows = zip(result.thetas, *(result.values[name] for name in ALL_CONTRASTS), failed)
+    _write_csv(out, ["theta", *ALL_CONTRASTS, "f0_failed"], rows)
+
+    def figure():
         theta_m, _ = result.argmax("j_mspacing")
         theta_f, _ = result.argmax("j_hat_star")
         panels = [
@@ -178,32 +196,22 @@ def cmd_sweep(args) -> int:
             ("Jhat*", result.thetas, result.values["j_hat_star"], "dotted"),
         ]
         vlines = [(theta_m, "solid"), (theta_f, "dotted")]
-        Path(args.svg).write_text(
-            svgplot.stacked_panels(panels, xlabel="theta (radians)", vlines=vlines),
-            encoding="utf-8",
-        )
-        files.append(Path(args.svg))
-    manifest.write_manifest(out.with_suffix(out.suffix + ".manifest"), "sweep", cfg, files)
-    return 0
+        return svgplot.stacked_panels(panels, xlabel="theta (radians)", vlines=vlines)
+
+    files = [out]
+    _svg(svg, figure, files)
+    return files
 
 
 DENSITY_GRID = np.round(np.arange(-400, 401) * 0.01, 2)
 
 
-def cmd_densities(args) -> int:
-    defaults = {
-        "data": "",
-        "direction": "mspacing-opt",
-        "g": "logcosh",
-        "alpha": 1.0,
-        "seed": 0,
-    }
-    cfg = _merge_config(args, defaults)
-    if not cfg["data"]:
-        raise ValueError("--data is required")
-    data = whiten(_read_data_csv(cfg["data"]))
+def cmd_densities(cfg, out, svg):
+    """Projected density vs surrogate."""
+    data = _whitened_data(cfg)
     g = _g_function(cfg)
     k = build_k(g)
+    p = data.n_components
     choice = cfg["direction"]
     if choice == "mspacing-opt":
         w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w)).w
@@ -212,6 +220,8 @@ def cmd_densities(args) -> int:
         w = loadings.W[0]
     else:
         theta = float(choice)
+        if p != 2:
+            raise ValueError(f"an angle direction needs data with 2 columns, got {p}")
         w = np.array([math.sin(theta), math.cos(theta)])
     y = data.values @ w
     grid = DENSITY_GRID
@@ -227,64 +237,21 @@ def cmd_densities(args) -> int:
         failed = 1
         f0_vals = np.full_like(grid, math.nan)
         hat_vals = np.full_like(grid, math.nan)
-    rows = [
-        (float(grid[i]), float(kde_vals[i]), float(f0_vals[i]), float(hat_vals[i]), failed)
-        for i in range(len(grid))
-    ]
-    out = Path(args.out)
+    rows = zip(grid, kde_vals, f0_vals, hat_vals, [failed] * len(grid))
     _write_csv(out, ["x", "kde_f", "f0", "hat_f0", "f0_failed"], rows)
+    curves = [("density of projection", grid, kde_vals, "solid")]
+    if not failed:
+        curves.append(("surrogate f0", grid, f0_vals, "dotted"))
     files = [out]
-    if args.svg:
-        curves = [("density of projection", grid, kde_vals, "solid")]
-        if not failed:
-            curves.append(("surrogate f0", grid, f0_vals, "dotted"))
-        Path(args.svg).write_text(
-            svgplot.overlay(curves, xlabel="x", ylabel="density"), encoding="utf-8"
-        )
-        files.append(Path(args.svg))
-    cfg["resolved_direction"] = _g17(math.atan2(w[0], w[1]) % math.pi)
-    manifest.write_manifest(out.with_suffix(out.suffix + ".manifest"), "densities", cfg, files)
-    return 0
+    _svg(svg, lambda: svgplot.overlay(curves, xlabel="x", ylabel="density"), files)
+    if p == 2:  # an angle names a direction only in the plane
+        cfg["resolved_direction"] = _g17(math.atan2(w[0], w[1]) % math.pi)
+    return files
 
 
-def _mspacing_deflation(data, components: int):
-    """Sequential m-spacing directions, each in the orthogonal complement."""
-    p = data.n_components
-    if components < 1:
-        raise ValueError("n_components must be >= 1")
-    if components > p:
-        raise ValueError(f"asked for {components} components in {p} dimensions")
-    rows = []
-    for _ in range(components):
-        if rows:
-            basis = np.linalg.svd(np.vstack(rows))[2][len(rows):].T  # (p, p-k)
-        else:
-            basis = np.eye(p)
-        if basis.shape[1] == 1:
-            w = basis[:, 0]
-        else:
-            reduced = data.values @ basis
-            sub = whiten(reduced)  # complement projections are already white
-            direction = optimize_direction(sub, lambda u: mspacing_negentropy(sub.values @ u))
-            w = basis @ (sub.transform @ direction.w)
-            w = w / np.linalg.norm(w)
-        rows.append(w)
-    return np.vstack(rows)
-
-
-def cmd_ica(args) -> int:
-    defaults = {
-        "data": "",
-        "method": "fastica",
-        "components": 1,
-        "g": "logcosh",
-        "alpha": 1.0,
-        "seed": 0,
-    }
-    cfg = _merge_config(args, defaults)
-    if not cfg["data"]:
-        raise ValueError("--data is required")
-    data = whiten(_read_data_csv(cfg["data"]))
+def cmd_ica(cfg, out, svg):
+    """Extract loadings."""
+    data = _whitened_data(cfg)
     g = _g_function(cfg)
     components = int(cfg["components"])
     if cfg["method"] == "fastica":
@@ -296,13 +263,12 @@ def cmd_ica(args) -> int:
         iterations = loadings.iterations
         contrast_vals = [fastica_contrast(data.values @ w, g) for w in W]
     elif cfg["method"] == "mspacing":
-        W = _mspacing_deflation(data, components)
+        W = mspacing_components(data, components)
         converged = np.ones(components, dtype=bool)
         iterations = np.zeros(components, dtype=int)
         contrast_vals = [mspacing_negentropy(data.values @ w) for w in W]
     else:
         raise ValueError(f"unknown method {cfg['method']!r}")
-    out = Path(args.out)
     header = (
         ["component"]
         + [f"w{j + 1}" for j in range(data.n_components)]
@@ -313,18 +279,11 @@ def cmd_ica(args) -> int:
         for i in range(components)
     ]
     _write_csv(out, header, rows)
-    manifest.write_manifest(out.with_suffix(out.suffix + ".manifest"), "ica", cfg, [out])
-    return 0
+    return [out]
 
 
-def cmd_rates(args) -> int:
-    defaults = {
-        "g": "logcosh",
-        "alpha": 1.0,
-        "c_grid": "0.16,0.08,0.04,0.02",
-        "delta": 0.05,
-    }
-    cfg = _merge_config(args, defaults)
+def cmd_rates(cfg, out, svg):
+    """Surrogate linearization rate study."""
     g = _g_function(cfg)
     k = build_k(g)
     delta = float(cfg["delta"])
@@ -346,40 +305,29 @@ def cmd_rates(args) -> int:
                 h_remainder,
             )
         )
-    header = [
-        "c",
-        "sup_error",
-        "err_amplitude",
-        "err_kappa",
-        "err_zeta",
-        "err_a",
-        "entropy_remainder",
-    ]
-    out = Path(args.out)
+    header = ["c", "sup_error", "err_amplitude", "err_kappa", "err_zeta", "err_a", "entropy_remainder"]
     _write_csv(out, header, rows)
-    cs = np.array([r[0] for r in rows])
-    slope_rows = []
-    for j, name in enumerate(header[1:], start=1):
-        vals = np.array([r[j] for r in rows])
-        if np.all(vals > 0):
-            slope_rows.append((name, rate_fit(cs, vals)))
-        else:
-            slope_rows.append((name, math.nan))  # column at exact zero
+    cols = dict(zip(header, np.array(rows).T))
+    slope_rows = [  # nan marks a column at exact zero
+        (name, rate_fit(cols["c"], vals) if np.all(vals > 0) else math.nan)
+        for name, vals in list(cols.items())[1:]
+    ]
     slopes_path = out.with_name(out.stem + "_slopes" + out.suffix)
     _write_csv(slopes_path, ["metric", "slope"], slope_rows)
+    series = [
+        ("sup_error", cols["c"], cols["sup_error"], "solid"),
+        ("entropy_remainder", cols["c"], cols["entropy_remainder"], "dashed"),
+        ("|a - c|", cols["c"], cols["err_a"], "dotted"),
+    ]
     files = [out, slopes_path]
-    if args.svg:
-        series = [
-            ("sup_error", cs, np.array([r[1] for r in rows]), "solid"),
-            ("entropy_remainder", cs, np.array([r[6] for r in rows]), "dashed"),
-            ("|a - c|", cs, np.array([r[5] for r in rows]), "dotted"),
-        ]
-        Path(args.svg).write_text(
-            svgplot.loglog(series, xlabel="c", ylabel="error"), encoding="utf-8"
-        )
-        files.append(Path(args.svg))
-    manifest.write_manifest(out.with_suffix(out.suffix + ".manifest"), "rates", cfg, files)
-    return 0
+    _svg(svg, lambda: svgplot.loglog(series, xlabel="c", ylabel="error"), files)
+    return files
+
+
+def _command(name: str):
+    # looked up when called, not at import, so that a rebinding of cli.cmd_*
+    # after import (bench/tracer.py wraps each in a timing span) takes effect
+    return globals()[f"cmd_{name}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,58 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="fastICA approximation ladder, m-spacing ICA, and the banded counterexample",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="banded-Gaussian counterexample data")
-    p.add_argument("--n", type=int)
-    p.add_argument("--bands", help='vertical bands "lo:hi,lo:hi"; empty for none')
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("sweep", help="contrast curves over the half circle")
-    p.add_argument("--data", help="input CSV with two columns")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--g", choices=sorted(GFAMILIES))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m", help='spacing parameter or "auto" for the sqrt rule')
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("densities", help="projected density vs surrogate")
-    p.add_argument("--data")
-    p.add_argument("--direction", help="angle in radians, mspacing-opt, or fastica-opt")
-    p.add_argument("--g", choices=sorted(GFAMILIES))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int, help=FASTICA_SEED_HELP)
-    _add_common(p)
-    p.set_defaults(func=cmd_densities)
-
-    p = sub.add_parser("ica", help="extract loadings")
-    p.add_argument("--data")
-    p.add_argument("--method", choices=("fastica", "mspacing"))
-    p.add_argument("--components", type=int)
-    p.add_argument("--g", choices=sorted(GFAMILIES))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int, help=FASTICA_SEED_HELP)
-    _add_common(p)
-    p.set_defaults(func=cmd_ica)
-
-    p = sub.add_parser("rates", help="surrogate linearization rate study")
-    p.add_argument("--g", choices=sorted(GFAMILIES))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c-grid", dest="c_grid")
-    p.add_argument("--delta", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_rates)
+    for name, options in OPTIONS.items():
+        p = sub.add_parser(name, help=_command(name).__doc__)
+        for key, (default, extra) in options.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(default), **extra)
+        p.add_argument("--config", help="key=value file merged under explicit flags")
+        p.add_argument("--out", required=True, help="output CSV path")
+        if name != "ica":  # loadings have no figure
+            p.add_argument("--svg", help="optional SVG figure path")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    options = OPTIONS[args.command]
     try:
-        return args.func(args)
+        cfg = {key: str(default) for key, (default, _) in options.items()}
+        if args.config:
+            fromfile = manifest.read_config(args.config)
+            cfg.update({k: v for k, v in fromfile.items() if k in options})
+        cfg.update({k: str(v) for k in options if (v := getattr(args, k)) is not None})
+        out = Path(args.out)
+        files = _command(args.command)(cfg, out, getattr(args, "svg", None))
+        manifest.write_manifest(out.with_suffix(out.suffix + ".manifest"), args.command, cfg, files)
+        return 0
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -68,4 +68,4 @@ class GenerationError(RuntimeError):
 
 
 class OptimizationError(RuntimeError):
-    """All optimizer restarts failed to produce a finite objective."""
+    """No direction searched gave a finite objective value."""

@@ -9,7 +9,8 @@ Optimization over arbitrary dimension is deterministic and RADICAL-style
 (Learned-Miller & Fisher, JMLR 2003): an exhaustive angle grid over one
 great circle at a time, then a golden-section refinement of the best
 grid angle, since the m-spacing objective is too rough for a local search
-from a single start.
+from a single start.  :func:`mspacing_components` deflates with it: each
+m-spacing direction is sought in the complement of those found before.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .contrast import GFunction, build_k, gaussian_expectation, kurtosis_contras
 from .entropy import ETA_1, MSpacingConfig, mspacing_negentropy
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
-from .whiten import Direction, WhitenedData
+from .whiten import Direction, WhitenedData, whiten
 
 ALL_CONTRASTS = ("j_mspacing", "j_f0", "j_hat_star", "j_kurtosis")
 
@@ -139,14 +140,17 @@ def optimize_direction(D: WhitenedData, contrast) -> Direction:
     one grid step down to :data:`ANGLE_TOL`; w moves there if the value
     improves.  Sweeps repeat until one moves w by less than a grid step.
     At p = 2 the one circle is the whole sphere and t is the sweep's
-    theta, so one sweep is exact.  Non-finite values are skipped; raises
+    theta, so one sweep is exact; at p = 1 the sphere is ±e_1, one
+    evaluation.  Non-finite values are skipped; raises
     :class:`OptimizationError` if no direction gives a finite value.
     """
     p = D.n_components
     step = math.pi / GRID_SIZE
     grid = np.arange(GRID_SIZE) * step
     w, best = np.eye(p)[-1], -math.inf
-    while True:
+    if p == 1:  # e_1 has no complement to search
+        best = float(contrast(w))
+    while p > 1:
         start = w
         for u in _complement(start):
 
@@ -163,8 +167,39 @@ def optimize_direction(D: WhitenedData, contrast) -> Direction:
                 w, best = math.cos(t) * w + math.sin(t) * u, f
         if p == 2 or abs(start @ w) > math.cos(step):
             break
-    if best == -math.inf:
+    if not math.isfinite(best):
         raise OptimizationError("no direction gave a finite objective")
     if p == 2:
         return Direction.from_angle(math.atan2(w[0], w[1]) % math.pi)
     return Direction(w=w)
+
+
+def mspacing_components(data: WhitenedData, components: int) -> np.ndarray:
+    """Sequential m-spacing directions, each in the orthogonal complement.
+
+    Row k of the returned (components, p) array maximizes the m-spacing
+    negentropy by :func:`optimize_direction` over the complement of rows
+    0 ... k-1; the last of p rows is that complement itself.  Raises
+    ``ValueError`` unless 1 <= components <= p.
+    """
+    p = data.n_components
+    if components < 1:
+        raise ValueError("n_components must be >= 1")
+    if components > p:
+        raise ValueError(f"asked for {components} components in {p} dimensions")
+    rows = []
+    for _ in range(components):
+        if rows:
+            basis = np.linalg.svd(np.vstack(rows))[2][len(rows):].T  # (p, p-k)
+        else:
+            basis = np.eye(p)
+        if basis.shape[1] == 1:
+            w = basis[:, 0]
+        else:
+            reduced = data.values @ basis
+            sub = whiten(reduced)  # complement projections are already white
+            direction = optimize_direction(sub, lambda u: mspacing_negentropy(sub.values @ u))
+            w = basis @ (sub.transform @ direction.w)
+            w = w / np.linalg.norm(w)
+        rows.append(w)
+    return np.vstack(rows)

@@ -272,6 +272,7 @@ def test_criterion_10_manifest_determinism(tmp_path, banded):
         ("sweep", ["sweep", "--data", str(data_csv), "--grid", "16"]),
         ("densities", ["densities", "--data", str(data_csv), "--direction", "0.5"]),
         ("ica", ["ica", "--data", str(data_csv), "--method", "fastica", "--components", "2"]),
+        ("ica_mspacing", ["ica", "--data", str(data_csv), "--method", "mspacing", "--components", "2"]),
         ("rates", ["rates", "--g", "negexp"]),
     ]
     mismatches = []

@@ -170,6 +170,48 @@ def test_ica_components_out_of_range(tmp_path, data_csv, capsys, method, compone
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_ica_takes_no_svg_flag(tmp_path, data_csv):
+    # loadings have no figure, so the flag is rejected rather than ignored
+    with pytest.raises(SystemExit) as exit_info:
+        run("ica", "--data", data_csv, "--out", tmp_path / "l.csv", "--svg", tmp_path / "l.svg")
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_densities_beyond_the_plane(tmp_path, capsys, p):
+    # optimized directions work at any p; an angle needs p = 2, and only
+    # there does resolved_direction name a direction
+    from icaprobe.rng import ReproducibleStream
+
+    values = ReproducibleStream(31).uniforms(600 * p).reshape(600, p)
+    data = tmp_path / "cols.csv"
+    header = ",".join(f"x{j + 1}" for j in range(p))
+    np.savetxt(data, values, fmt="%.17g", delimiter=",", header=header, comments="")
+    out = tmp_path / "dens.csv"
+    assert run("densities", "--data", data, "--direction", "mspacing-opt", "--out", out) == 0
+    assert "resolved_direction" not in read_config(out.with_suffix(".csv.manifest"))
+    capsys.readouterr()
+    assert run("densities", "--data", data, "--direction", "0.5", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: an angle direction needs data with 2 columns, got {p}\n"
+
+
+def test_main_calls_a_command_rebound_after_import(tmp_path, monkeypatch):
+    # the benchmark tracer rebinds cli.cmd_* at module level after import
+    import icaprobe.cli as cli
+
+    calls = []
+
+    def traced(cfg, out, svg):
+        calls.append(cfg["c_grid"])
+        out.write_text("c\n")
+        return [out]
+
+    monkeypatch.setattr(cli, "cmd_rates", traced)
+    assert run("rates", "--c-grid", "0.1", "--out", tmp_path / "r.csv") == 0
+    assert calls == ["0.1"]
+    assert "c_grid=0.1" in (tmp_path / "r.csv.manifest").read_text().splitlines()
+
+
 def test_rates_outputs(tmp_path):
     out = tmp_path / "rates.csv"
     svg = tmp_path / "rates.svg"

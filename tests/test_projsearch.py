@@ -142,6 +142,21 @@ def test_optimizer_rejects_an_all_nan_objective(gaussian_data):
         optimize_direction(gaussian_data, lambda w: math.nan)
 
 
+def test_optimizer_at_p1_evaluates_the_only_direction_once():
+    # the unit sphere in one dimension is {e_1, -e_1}: one value decides
+    data = whiten(ReproducibleStream(7).normals(500).reshape(500, 1))
+    calls = []
+
+    def objective(w):
+        calls.append(w)
+        return mspacing_negentropy(data.values @ w)
+
+    assert optimize_direction(data, objective).w.tolist() == [1.0]
+    assert len(calls) == 1
+    with pytest.raises(OptimizationError, match="no direction gave a finite objective"):
+        optimize_direction(data, lambda w: math.inf)
+
+
 def test_optimizer_evaluation_budget_at_p2(banded_data):
     # one exhaustive 180-point grid over the circle plus one golden-section
     # refinement
