@@ -29,9 +29,8 @@ from .entropy import MSpacingConfig, kde, mspacing_negentropy
 from .errors import (
     AccuracyError,
     ConvergenceError,
-    DegenerateDataError,
-    DegenerateSampleError,
     GenerationError,
+    InfeasibleConstraintError,
     OptimizationError,
 )
 from .fastica import FastIcaConfig, deflation
@@ -46,14 +45,7 @@ from .maxent import (
 from .projsearch import ALL_CONTRASTS, mspacing_components, optimize_direction, sweep
 from .whiten import RawData, WhitenedData, whiten
 
-_NUMERIC_ERRORS = (
-    ConvergenceError,
-    OptimizationError,
-    GenerationError,
-    AccuracyError,
-    DegenerateDataError,
-    DegenerateSampleError,
-)
+_NUMERIC_ERRORS = (ConvergenceError, OptimizationError, GenerationError, AccuracyError)
 
 FASTICA_SEED_HELP = "fastICA restart seed; the m-spacing search is deterministic and ignores it"
 
@@ -86,8 +78,8 @@ def _bands_str(bands: datagen.BandSpec) -> str:
 
 
 _DATA = ("", {"help": "input CSV, one column per coordinate"})
-_G = ("logcosh", {"choices": sorted(GFAMILIES)})
-_ALPHA = (1.0, {})
+_G = ("logcosh", {"choices": sorted(GFAMILIES), "help": "contrast nonlinearity G"})
+_ALPHA = (1.0, {"help": "logcosh scale, in [1, 2]; the other G families ignore it"})
 _SEED = (0, {"help": FASTICA_SEED_HELP})
 
 #: command -> {key: (default, extra add_argument keywords)}.  Each key is
@@ -95,17 +87,17 @@ _SEED = (0, {"help": FASTICA_SEED_HELP})
 #: the manifest key; values merge as defaults < --config file < flags.
 OPTIONS = {
     "generate": {
-        "n": (2000, {}),
+        "n": (2000, {"help": "points to keep, at least 10"}),
         "bands": (
             _bands_str(datagen.BandSpec()),
             {"help": 'vertical bands "lo:hi,lo:hi"; empty for none'},
         ),
-        "seed": (42, {}),
-        "max_rounds": (100, {}),
+        "seed": (42, {"help": "seed of the reproducible sample stream"}),
+        "max_rounds": (100, {"help": "sampling rounds, at least 1, before giving up with exit 3"}),
     },
     "sweep": {
         "data": _DATA,
-        "grid": (360, {}),
+        "grid": (360, {"help": "number of directions over [0, pi), at least 8"}),
         "g": _G,
         "alpha": _ALPHA,
         "m": ("auto", {"help": 'spacing parameter or "auto" for the sqrt rule'}),
@@ -119,8 +111,8 @@ OPTIONS = {
     },
     "ica": {
         "data": _DATA,
-        "method": ("fastica", {"choices": ("fastica", "mspacing")}),
-        "components": (1, {}),
+        "method": ("fastica", {"choices": ("fastica", "mspacing"), "help": "ICA algorithm"}),
+        "components": (1, {"help": "loadings to extract, 1 to the number of data columns"}),
         "g": _G,
         "alpha": _ALPHA,
         "seed": _SEED,
@@ -128,8 +120,8 @@ OPTIONS = {
     "rates": {
         "g": _G,
         "alpha": _ALPHA,
-        "c_grid": ("0.16,0.08,0.04,0.02", {}),
-        "delta": (0.05, {}),
+        "c_grid": ("0.16,0.08,0.04,0.02", {"help": "4 or more comma-separated values c > 0"}),
+        "delta": (0.05, {"help": "sup-norm weight exp(delta x^2), delta in (0, 1/2)"}),
     },
 }
 
@@ -291,7 +283,10 @@ def cmd_rates(cfg, out, svg):
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
     rows = []
     for c in c_grid:
-        d = solve_f0(c, k)
+        try:
+            d = solve_f0(c, k)
+        except InfeasibleConstraintError as err:  # the c-grid is input, not a solver gap
+            raise ValueError(str(err)) from err
         lin = LinearizedDensity(c=c, k=k)
         h_remainder = abs(entropy_by_quadrature(lin) - hat_entropy(c))
         rows.append(
@@ -324,6 +319,10 @@ def cmd_rates(cfg, out, svg):
     return files
 
 
+#: keys a command adds to its manifest for the record; a replay skips them
+_RECORD_KEYS = {"rng", "band_check_frame", "resolved_direction"}
+
+
 def _command(name: str):
     # looked up when called, not at import, so that a rebinding of cli.cmd_*
     # after import (bench/tracer.py wraps each in a timing span) takes effect
@@ -354,6 +353,8 @@ def main(argv=None) -> int:
         cfg = {key: str(default) for key, (default, _) in options.items()}
         if args.config:
             fromfile = manifest.read_config(args.config)
+            if unknown := sorted(fromfile.keys() - options.keys() - _RECORD_KEYS):
+                raise ValueError(f"{args.command} takes no --config key {', '.join(unknown)}")
             cfg.update({k: v for k, v in fromfile.items() if k in options})
         cfg.update({k: str(v) for k in options if (v := getattr(args, k)) is not None})
         out = Path(args.out)

@@ -135,7 +135,7 @@ class KFunction:
         return (self.alpha if self.g.quadratic_growth else 1.0) / self.delta
 
 
-def _delta_sign(numerator, grid=_SIGN_GRID) -> float:
+def _delta_sign(numerator) -> float:
     """Sign making the growing tail of K nonnegative (K bounded below).
 
     When the tails disagree in sign (odd-dominated numerator), fall back to
@@ -147,7 +147,7 @@ def _delta_sign(numerator, grid=_SIGN_GRID) -> float:
         return 1.0
     if n_plus < 0 and n_minus < 0:
         return -1.0
-    vals = numerator(grid)
+    vals = numerator(_SIGN_GRID)
     return 1.0 if float(vals.min() + vals.max()) >= 0.0 else -1.0
 
 

@@ -28,16 +28,19 @@ where logcosh's non-steep face reaches unit variance (Barndorff-Nielsen
 The range is checked first: a c more than 1e-4 outside it raises
 :class:`InfeasibleConstraintError` before any Newton run.
 
-Inside the range two rungs follow.  The phi-weighted Gauss-Hermite rung
-starts at (kappa, zeta, a) = (0, -1/2, c), the linearization's guess; it
-has the exact Gaussian fixed point at c = 0, and which c it settles is
-pinned by stored references.  The interval rung solves on Simpson grids
-over the density support and starts at (0, -1/2, min(c, 0)).  K's growing
-tail is nonnegative (see :func:`~icaprobe.contrast.build_k`), so a <= 0
-keeps the start a proper density.  At a = c the exponent's leading
-coefficient -1/2 + c tail_coeff is positive once c tail_coeff > 1/2, the
-start grows toward the ends of the support, and the first Newton steps
-backtrack through dozens of halvings.
+Inside the range a ladder of rules runs, coarse to fine, one Newton run
+per rule.  The phi-weighted Gauss-Hermite rung starts at (kappa, zeta, a)
+= (0, -1/2, c), the linearization's guess; it has the exact Gaussian fixed
+point at c = 0, and which c it settles is pinned by stored references.
+Simpson grids over the density support follow and start at
+(0, -1/2, min(c, 0)).  K's growing tail is nonnegative (see
+:func:`~icaprobe.contrast.build_k`), so a <= 0 keeps the start a proper
+density.  At a = c the exponent's leading coefficient -1/2 + c tail_coeff
+is positive once c tail_coeff > 1/2, the start grows toward the ends of
+the support, and the first Newton steps backtrack through dozens of
+halvings.  A solve is kept once it re-integrates on a finer rule; a failed
+run or re-check passes c on, and an integrability guard violation ends the
+ladder on any rung.
 Each solve reports its Newton iterations, line-search halvings and the
 node count of the rule that produced it.
 
@@ -56,11 +59,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .contrast import KFunction, build_k, hat_j_from_c, logcosh
+from .contrast import KFunction, hat_j_from_c
 from .entropy import ETA_1
 from .errors import ConvergenceError, InfeasibleConstraintError, InvalidDensityError
 from .quadrature import DEFAULT_ORDER, DENSITY_SUPPORT, gaussian_weighted_rule, integrate_interval
@@ -290,57 +293,58 @@ def _moment_residual(d, x, w, gaussian_weighted, c):
     )
 
 
-def _surrogate(
-    c, k, rule_size, lam, log_amp, entropy, residual, iterations, halvings
-) -> SurrogateDensity:
-    """The solved density, once it passes the integrability guard."""
-    _check_guard(k, lam[1], lam[2])
-    return SurrogateDensity(
-        log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
-        residual=residual, entropy=entropy,
-        iterations=iterations, halvings=halvings, rule_size=rule_size,
-    )
+def _gh_points(order: int):
+    rule = gaussian_weighted_rule(order)
+    return rule.nodes, rule.weights
 
 
-def _solve_gauss_hermite(c: float, k: KFunction, tol: float) -> SurrogateDensity:
-    """The phi-weighted rung: fast, with the exact Gaussian fixed point at c = 0."""
-    gh = gaussian_weighted_rule()
-    return _surrogate(c, k, gh.nodes.size, *_dual_newton(c, k, gh.nodes, gh.weights, True, tol))
+def _ladder():
+    """The rungs of :func:`solve_f0`, coarse to fine, each built when reached.
+
+    A rung is (nodes, weights, phi_weighted, recheck): ``recheck()`` builds
+    the independent rule a solve must re-integrate on, the order-400
+    Gauss-Hermite rule or the doubled Simpson grid; the finest grid has
+    none.
+    """
+    yield (*_gh_points(DEFAULT_ORDER), True, partial(_gh_points, 2 * DEFAULT_ORDER))
+    for ngrid in _INTERVAL_GRIDS:
+        finer = None if ngrid == _INTERVAL_GRIDS[-1] else partial(_interval_points, 2 * ngrid)
+        yield (*_interval_points(ngrid), False, finer)
 
 
-def _solve_interval(c: float, k: KFunction, tol: float) -> SurrogateDensity:
-    """The interval rung: one Newton run per Simpson grid on the density
-    support, refined until the solution re-integrates consistently on the
-    doubled grid.
+def _solve(c: float, k: KFunction, tol: float, rungs) -> SurrogateDensity:
+    """One Newton run per rung until a solve re-integrates within 10 tol.
 
-    Each run starts at (kappa, zeta, a) = (0, -1/2, min(c, 0)), a proper
-    density on every grid.  Every grid is tried, even after a coarser
-    one's dual fell below :data:`_DUAL_FLOOR`: a grid proves infeasibility
-    only for itself, and finer grids reach further toward the moment
-    boundary.  :func:`solve_f0` sends only c within :data:`_RANGE_MARGIN`
+    A rung whose Newton run fails hands over to the next one: a grid proves
+    infeasibility only for itself, and finer grids reach further toward the
+    moment boundary.  An integrability guard violation ends the ladder on
+    every rung.  :func:`solve_f0` sends only c within :data:`_RANGE_MARGIN`
     (1e-4) of the proven range (c_lo, c_hi) of :func:`_feasible_range`
     here; the ladder's own frontier agrees with that range to 1e-5 on
     every side measured.
     """
     last_err = None
     try:
-        for ngrid in _INTERVAL_GRIDS:
-            x, w = _interval_points(ngrid)
+        for x, w, weighted, recheck in rungs:
             try:
-                solved = _dual_newton(c, k, x, w, False, tol)
+                lam, log_amp, entropy, residual, iterations, halvings = _dual_newton(
+                    c, k, x, w, weighted, tol
+                )
             except ConvergenceError as err:
                 last_err = err
                 continue
-            d = _surrogate(c, k, x.size, *solved)
-            if ngrid == _INTERVAL_GRIDS[-1]:
-                return d
-            x2, w2 = _interval_points(2 * ngrid)
-            if _moment_residual(d, x2, w2, False, c) <= 10.0 * tol:
+            _check_guard(k, lam[1], lam[2])
+            d = SurrogateDensity(
+                log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
+                residual=residual, entropy=entropy,
+                iterations=iterations, halvings=halvings, rule_size=x.size,
+            )
+            if recheck is None or _moment_residual(d, *recheck(), weighted, c) <= 10.0 * tol:
                 return d
             last_err = ConvergenceError("solution does not re-integrate consistently")
         raise last_err
     finally:
-        # the error's traceback holds this frame, and with it every grid
+        # the error's traceback holds this frame, and with it every rule
         # tried; drop the reference so the cycle does not outlive the call
         del last_err
 
@@ -429,12 +433,11 @@ def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
 
     A non-finite c raises ValueError, and c farther than 1e-4 past the
     proven range of E[K] raises :class:`InfeasibleConstraintError`, both
-    before any Newton run.  Then the Gauss-Hermite rung is tried, starting
-    at a = c, and kept when its solution re-integrates to within 10 tol on
-    the rule of twice the order; otherwise the interval rung, starting at
-    a = min(c, 0), solves on the density support, which resolves the
-    narrow spikes f0 develops near the moment boundary.  A failure there
-    raises :class:`ConvergenceError`.
+    before any Newton run.  Then the ladder of the module docstring runs:
+    the Gauss-Hermite rung, then Simpson grids on the density support,
+    which resolve the narrow spikes f0 develops near the moment boundary.
+    A failure on the finest grid, or an integrability guard violation on
+    any rung, raises :class:`ConvergenceError`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -446,14 +449,7 @@ def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
         raise InfeasibleConstraintError(c, c_lo, "lower", _RANGE_MARGIN)
     if c > c_hi + _RANGE_MARGIN:
         raise InfeasibleConstraintError(c, c_hi, "upper", _RANGE_MARGIN)
-    try:
-        d = _solve_gauss_hermite(c, k, tol)
-        fine = gaussian_weighted_rule(2 * DEFAULT_ORDER)
-        if _moment_residual(d, fine.nodes, fine.weights, True, c) <= 10.0 * tol:
-            return d
-    except ConvergenceError:
-        pass
-    return _solve_interval(c, k, tol)
+    return _solve(c, k, tol, _ladder())
 
 
 def entropy_by_quadrature(pdf, tol: float = 1e-10) -> float:
@@ -514,7 +510,7 @@ class UniformMixtureResult:
     h_true_analytic: float
 
 
-def uniform_mixture_case(epsilon: float, k: KFunction | None = None) -> UniformMixtureResult:
+def uniform_mixture_case(epsilon: float, k: KFunction) -> UniformMixtureResult:
     """Mixture (1/2) U(-1-eps, -1) + (1/2) U(1, 1+eps), standardized.
 
     Returns the analytic negentropy of the standardized mixture, from the
@@ -524,8 +520,6 @@ def uniform_mixture_case(epsilon: float, k: KFunction | None = None) -> UniformM
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    if k is None:
-        k = build_k(logcosh())
     sigma = math.sqrt(1.0 + epsilon + epsilon * epsilon / 3.0)
     lo, hi = 1.0 / sigma, (1.0 + epsilon) / sigma
     level = sigma / (2.0 * epsilon)  # density value on each interval

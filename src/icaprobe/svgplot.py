@@ -47,22 +47,22 @@ class _Canvas:
             '<rect width="100%" height="100%" fill="white"/>',
         ]
 
-    def polyline(self, pts, color="black", style="solid", width=1.2):
+    def polyline(self, pts, style="solid"):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         self.parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
+            f'<polyline fill="none" stroke="black" stroke-width="1.2" '
             f"{STYLES[style]}points=\"{coords}\"/>"
         )
 
-    def line(self, x1, y1, x2, y2, color="black", style="solid", width=1.0):
+    def line(self, x1, y1, x2, y2, style="solid", width=1.0):
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{width}" {STYLES[style]}/>'
+            f'stroke="black" stroke-width="{width}" {STYLES[style]}/>'
         )
 
-    def circle(self, x, y, r=1.4, color="black"):
+    def circle(self, x, y):
         self.parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.40" fill="black"/>'
         )
 
     def text(self, x, y, s, size=11, anchor="start"):
@@ -102,17 +102,17 @@ class _Axes:
         if ylabel:
             canvas.text(self.x0 + 6, self.y0 + 12, ylabel)
 
-    def curve(self, canvas, x, y, color="black", style="solid"):
+    def curve(self, canvas, x, y, style="solid"):
         pts = [
             (self.px(a), self.py(b))
             for a, b in zip(np.asarray(x, float), np.asarray(y, float))
             if math.isfinite(b)
         ]
         if pts:
-            canvas.polyline(pts, color=color, style=style)
+            canvas.polyline(pts, style=style)
 
-    def vline(self, canvas, x, color="black", style="solid"):
-        canvas.line(self.px(x), self.y0, self.px(x), self.y0 + self.h, color=color, style=style)
+    def vline(self, canvas, x, style="solid"):
+        canvas.line(self.px(x), self.y0, self.px(x), self.y0 + self.h, style=style)
 
 
 def stacked_panels(panels, xlabel: str, vlines=()) -> str:
@@ -146,8 +146,8 @@ def overlay(curves, xlabel: str, ylabel: str) -> str:
     return canvas.render()
 
 
-def scatter(x, y, xlabel: str = "", ylabel: str = "", lines=()) -> str:
-    """Scatter of points with optional overlaid (x, y, style) curves."""
+def scatter(x, y, xlabel: str = "", ylabel: str = "") -> str:
+    """Scatter of points."""
     size = _MARGIN + 2.6 * _PANEL_H
     canvas = _Canvas(size + 40, size + 40)
     both = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
@@ -158,8 +158,6 @@ def scatter(x, y, xlabel: str = "", ylabel: str = "", lines=()) -> str:
     ax.frame(canvas, xlabel=xlabel, ylabel=ylabel)
     for a, b in zip(np.asarray(x, float), np.asarray(y, float)):
         canvas.circle(ax.px(a), ax.py(b))
-    for cx, cy, style in lines:
-        ax.curve(canvas, cx, cy, style=style)
     return canvas.render()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import icaprobe
-from icaprobe.cli import main
+from icaprobe.cli import build_parser, main
 from icaprobe.manifest import read_config, sha256_file
 
 
@@ -234,8 +234,44 @@ def test_rates_rejects_a_non_finite_c_as_invalid_input(tmp_path, value, capsys):
     assert capsys.readouterr().err == "error: c must be finite\n"
 
 
+def test_rates_rejects_an_infeasible_c_as_invalid_input(tmp_path, capsys):
+    # logcosh's E[K] stays below 0.213932, so c = 0.4 is bad input, rejected
+    # before any Newton run; sweep and densities flag the same error instead
+    assert run("rates", "--c-grid", "0.4,0.3,0.2,0.1", "--out", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: constraint value 0.4 lies past the upper bound 0.213932")
+
+
 def test_exit_code_invalid_args(tmp_path):
     assert run("sweep", "--out", tmp_path / "x.csv") == 2  # no data
+
+
+def test_zero_variance_data_is_invalid_input(tmp_path, capsys):
+    data = tmp_path / "flat.csv"
+    data.write_text("x1,x2\n1,2\n1,2\n1,2\n")
+    assert run("sweep", "--data", data, "--out", tmp_path / "s.csv") == 2
+    assert capsys.readouterr().err == "error: input has zero variance in every direction\n"
+
+
+def test_config_with_an_unknown_key_is_rejected(tmp_path, data_csv, capsys):
+    # a typo must not run the default 360 directions; every unknown key is named
+    config = tmp_path / "typo.cfg"
+    config.write_text(f"data={data_csv}\ngrd=8\ncolour=red\n")
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--config", config, "--out", out) == 2
+    assert capsys.readouterr().err == "error: sweep takes no --config key colour, grd\n"
+    assert not out.exists()
+
+
+def test_every_option_has_help(capsys):
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for name, parser in commands.items():
+        for action in parser._actions:
+            assert action.help, (name, action.dest)
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: icaprobe " + name in capsys.readouterr().out
 
 
 def test_exit_code_numerical_failure(tmp_path):

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 import types
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from icaprobe.errors import ConvergenceError, InfeasibleConstraintError, Invalid
 from icaprobe.maxent import (
     LinearizedDensity,
     _feasible_range,
-    _solve_gauss_hermite,
-    _solve_interval,
+    _ladder,
+    _solve,
     entropy_by_quadrature,
     hat_entropy,
     rate_fit,
@@ -79,8 +80,8 @@ def test_constraints_reintegrate_at_doubled_order(k_logcosh):
 
 
 def test_interval_backend_matches_gauss_hermite(k_logcosh):
-    a = _solve_gauss_hermite(0.05, k_logcosh, 1e-10)
-    b = _solve_interval(0.05, k_logcosh, 1e-10)
+    a = _solve(0.05, k_logcosh, 1e-10, islice(_ladder(), 1))
+    b = _solve(0.05, k_logcosh, 1e-10, islice(_ladder(), 1, None))
     assert a.a == pytest.approx(b.a, abs=1e-8)
     assert a.zeta == pytest.approx(b.zeta, abs=1e-8)
     assert a.amplitude == pytest.approx(b.amplitude, abs=1e-8)
@@ -299,14 +300,11 @@ def test_ladder_frontier_matches_the_proven_range(name, sides):
     for side in sides:
         inward = 1e-3 if side == "lower" else -1e-3
         c_in, c_out = bounds[side] + inward, bounds[side] - inward
-        try:
-            d = _solve_gauss_hermite(c_in, k, 1e-10)
-        except ConvergenceError:
-            d = _solve_interval(c_in, k, 1e-10)
+        d = _solve(c_in, k, 1e-10, _ladder())
         assert d.residual <= 1e-10
         assert solve_f0(c_in, k).residual <= 1e-10
         with pytest.raises(ConvergenceError):
-            _solve_interval(c_out, k, 1e-10)
+            _solve(c_out, k, 1e-10, islice(_ladder(), 1, None))
         with pytest.raises(InfeasibleConstraintError) as exc:
             solve_f0(c_out, k)
         assert exc.value.side == side and exc.value.bound == bounds[side]
@@ -343,6 +341,21 @@ def test_infeasible_c_is_rejected_before_any_newton_run(name, c, monkeypatch):
     assert calls == []
 
 
+def test_a_guard_violation_ends_the_ladder_on_the_first_rung(monkeypatch):
+    # quartic c inside the margin above its bound 0 solves on the
+    # Gauss-Hermite rule with a > 0; the grids cannot mend that, so the
+    # ladder stops there instead of solving again on 2^15 + 1 nodes
+    calls = _count_dual_newton(monkeypatch)
+    with pytest.raises(ConvergenceError, match="integrability guard violated"):
+        solve_f0(5e-5, _K["quartic"])
+    assert calls == [gaussian_weighted_rule().nodes.size]
+
+
+@pytest.mark.parametrize("name", ["logcosh(1)", "negexp", "quartic"])
+def test_c_zero_gives_the_gaussian_entropy_exactly(name):
+    assert solve_f0(0.0, _K[name]).entropy == ETA_1
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
 def test_non_finite_c_is_rejected_before_any_newton_run(c, k_logcosh, monkeypatch):
     calls = _count_dual_newton(monkeypatch)
@@ -361,7 +374,7 @@ def test_interval_rung_needs_few_newton_steps_over_the_scan(family, request):
     grids = {n + 1 for n in maxent._INTERVAL_GRIDS}
     scan = [c for c in np.round(np.linspace(-1.0, 1.0, 41), 2) if c_lo <= c <= c_hi]
     for c in scan:
-        d = _solve_interval(c, k, 1e-10)
+        d = _solve(c, k, 1e-10, islice(_ladder(), 1, None))
         assert d.residual <= 1e-10
         assert d.iterations <= 12 and d.halvings <= 5, (c, d.iterations, d.halvings)
         assert d.rule_size in grids
@@ -531,7 +544,7 @@ def test_asymmetric_g_drives_odd_tilt(rule200):
     lo, hi = _feasible_range(k)
     assert lo == float(k(1.0)) and hi == math.inf
     with pytest.raises(ConvergenceError):
-        _solve_interval(lo + 1e-3, k, 1e-10)
+        _solve(lo + 1e-3, k, 1e-10, islice(_ladder(), 1, None))
 
 
 def test_logcosh_alpha_two_solves():
