@@ -280,6 +280,11 @@ def cmd_rates(cfg, out, svg):
     k = build_k(g)
     delta = float(cfg["delta"])
     c_grid = [float(v) for v in cfg["c_grid"].split(",")]
+    # checked before the first solve, so that a bad grid writes no file
+    if not all(math.isfinite(c) for c in c_grid):
+        raise ValueError("c must be finite")
+    if len(c_grid) < 4 or min(c_grid) <= 0:
+        raise ValueError(f"--c-grid needs 4 or more values c > 0, got {cfg['c_grid']}")
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
     rows = []
     for c in c_grid:

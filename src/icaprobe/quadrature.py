@@ -13,8 +13,13 @@ Two rules cover every integral in the package:
 Node and weight computation uses Newton refinement of the Hermite roots on
 the weighted recurrence ``q_j(z) = H~_j(z) exp(-z^2/2)`` (orthonormal
 Hermite times the square-root weight), which stays O(1) in magnitude at any
-order, so no matrix eigensolver is needed and orders of several hundred are
-routine.
+order, so orders of several hundred are routine.  Each root's Newton run
+starts from an asymptotic guess built out of the two roots above it, which
+makes the roots the unique fixed point of a sweep that runs all the Newton
+runs at once in numpy arrays.  A matrix eigensolver (Golub & Welsch 1969)
+supplies only the sweep's first input: the sweeps repeat until one returns
+its input bit for bit, so the eigenvalues' rounding never reaches the
+result, which is the one a root-by-root build gives.
 """
 
 from __future__ import annotations
@@ -68,50 +73,120 @@ class QuadratureRule:
         return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
-def _weighted_hermite_pair(z: float, n: int) -> tuple[float, float]:
-    """Evaluate (q_n, q_{n-1}) at z, q_j = orthonormal Hermite * exp(-z^2/2)."""
-    q1 = math.pi ** -0.25 * math.exp(-0.5 * z * z)
-    q2 = 0.0
-    for j in range(1, n + 1):
-        q1, q2 = z * math.sqrt(2.0 / j) * q1 - math.sqrt((j - 1.0) / j) * q2, q1
+def _recurrence(n: int) -> tuple[np.ndarray, list[float]]:
+    """Coefficients sqrt(2/j) and sqrt((j-1)/j), j = 1..n, of the q_j recurrence."""
+    a = np.array([math.sqrt(2.0 / j) for j in range(1, n + 1)])
+    return a, [math.sqrt((j - 1.0) / j) for j in range(1, n + 1)]
+
+
+def _weighted_hermite_pairs(
+    z: np.ndarray, recurrence: tuple[np.ndarray, list[float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q_n, q_{n-1}) at every z, q_j = orthonormal Hermite * exp(-z^2/2).
+
+    Each step is ``(z * sqrt(2/j)) * q_{j-1} - sqrt((j-1)/j) * q_{j-2}``,
+    rounded exactly as the same expression in Python floats; ``exp`` comes
+    from :mod:`math`, whose rounding numpy's ``exp`` need not share.
+    """
+    a, b = recurrence
+    q1 = math.pi ** -0.25 * np.array([math.exp(v) for v in (-0.5 * z * z).tolist()])
+    q2 = np.zeros_like(z)
+    t = np.empty_like(z)
+    for row, b_j in zip(np.multiply.outer(a, z), b):
+        np.multiply(q2, b_j, out=q2)
+        np.multiply(row, q1, out=t)
+        np.subtract(t, q2, out=q2)
+        q1, q2 = q2, q1
     return q1, q2
 
 
+def _newton(z: np.ndarray, order: int, recurrence: tuple[np.ndarray, list[float]]) -> np.ndarray:
+    """Newton on q_order from every start in z at once.
+
+    Per root: the step is clipped to [-1, 1], the root stops once it moves
+    by at most 1e-15 * max(1, |z|) and is frozen, and no root takes more
+    than 200 steps.  NaN steps clip to 1 and NaN roots never stop, as with
+    Python's ``min``/``max`` on floats.
+    """
+    z = z.copy()
+    live = np.arange(z.size)
+    scale = math.sqrt(2.0 * order)
+    for _ in range(200):
+        if not live.size:
+            break
+        z_prev = z[live]
+        qn, qn1 = _weighted_hermite_pairs(z_prev, recurrence)
+        # d/dz q_n = sqrt(2n) q_{n-1} - z q_n
+        step = qn / (scale * qn1 - z_prev * qn)
+        step = np.where(step < 1.0, step, 1.0)
+        step = np.where(step > -1.0, step, -1.0)
+        z_new = z_prev - step
+        z[live] = z_new
+        magnitude = np.abs(z_new)
+        done = np.abs(z_new - z_prev) <= 1e-15 * np.where(magnitude > 1.0, magnitude, 1.0)
+        live = live[~done]
+    return z
+
+
+def _starts(roots: np.ndarray, order: int) -> np.ndarray:
+    """Asymptotic Newton start for root i out of roots i-1 and i-2."""
+    z = np.empty_like(roots)
+    z[0] = math.sqrt(2 * order + 1) - 1.85575 * (2 * order + 1) ** (-1.0 / 6.0)
+    if roots.size > 1:
+        z[1] = roots[0] - 1.14 * order ** 0.426 / roots[0]
+    if roots.size > 2:
+        z[2] = 1.86 * roots[1] - 0.86 * roots[0]
+    if roots.size > 3:
+        z[3] = 1.91 * roots[2] - 0.91 * roots[1]
+    z[4:] = 2.0 * roots[3:-1] - roots[2:-2]
+    return z
+
+
 def _hermite_nodes_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for weight exp(-x^2), by Newton with asymptotic guesses."""
+    """Nodes/weights for weight exp(-x^2), largest root first by Newton.
+
+    Root i starts Newton from a guess built out of roots i-1 and i-2, so
+    the roots are the fixed point S of the sweep F that runs every root's
+    Newton from the start its two predecessors give.  S is unique: after k
+    sweeps from any input the first k roots equal S bit for bit, so a sweep
+    whose output equals its input is S, and m + 1 sweeps always reach it.
+    Eigenvalues of the Jacobi matrix put the input within rounding of S,
+    and two or three sweeps suffice.  A root whose start did not change
+    bit for bit keeps its last result instead of rerunning Newton.
+    """
     m = (order + 1) // 2
-    roots = np.empty(m)
+    h = order // 2  # positive roots; an odd order adds the root 0
+    # the squared positive roots are the zeros of the Laguerre polynomial
+    # L_h^(alpha), alpha = -1/2 (even order) or 1/2 (odd), whose Jacobi
+    # matrix has diagonal 2k + alpha + 1 and off-diagonal sqrt(k (k + alpha))
+    alpha = 0.5 if order % 2 else -0.5
+    k = np.arange(1.0, h)
+    off = np.sqrt(k * (k + alpha))
+    jacobi = np.zeros((h, h))  # filled in place: no h x h temporaries
+    jacobi.flat[:: h + 1] = 2.0 * np.arange(h) + alpha + 1.0
+    jacobi.flat[1 :: h + 1] = off
+    jacobi.flat[h :: h + 1] = off
+    roots = np.zeros(m)
+    roots[:h] = np.sqrt(np.linalg.eigvalsh(jacobi))[::-1]
+    recurrence = _recurrence(order)
+    starts = _starts(roots, order)[:h]
+    rerun = np.arange(h)
+    with np.errstate(all="ignore"):  # early sweeps may start far off
+        for _ in range(m + 1):
+            swept = roots.copy()
+            swept[rerun] = _newton(starts[rerun], order, recurrence)
+            if swept.tobytes() == roots.tobytes():
+                break
+            roots = swept
+            new_starts = _starts(roots, order)[:h]
+            rerun = np.flatnonzero(new_starts.view(np.int64) != starts.view(np.int64))
+            starts = new_starts
+    _, qn1 = _weighted_hermite_pairs(roots, recurrence)
     wts = np.empty(m)
-    z = 0.0
-    for i in range(m):
-        # asymptotic initial guesses, largest root inward
-        if i == 0:
-            z = math.sqrt(2 * order + 1) - 1.85575 * (2 * order + 1) ** (-1.0 / 6.0)
-        elif i == 1:
-            z -= 1.14 * order ** 0.426 / z
-        elif i == 2:
-            z = 1.86 * z - 0.86 * roots[0]
-        elif i == 3:
-            z = 1.91 * z - 0.91 * roots[1]
-        else:
-            z = 2.0 * z - roots[i - 2]
-        if i == m - 1 and order % 2:
-            z = 0.0  # middle root of an odd-order rule is exactly 0
-        else:
-            for _ in range(200):
-                qn, qn1 = _weighted_hermite_pair(z, order)
-                # d/dz q_n = sqrt(2n) q_{n-1} - z q_n
-                dq = math.sqrt(2.0 * order) * qn1 - z * qn
-                step = qn / dq
-                step = max(-1.0, min(1.0, step))
-                z_prev, z = z, z - step
-                if abs(z - z_prev) <= 1e-15 * max(1.0, abs(z)):
-                    break
-        roots[i] = z
-        _, qn1 = _weighted_hermite_pair(z, order)
+    for i, (z, q) in enumerate(zip(roots.tolist(), qn1.tolist())):
         # w = 2 exp(-z^2) / (H~'_n)^2 with H~'_n = sqrt(2n) H~_{n-1};
         # computed in log space so far-tail weights underflow gracefully.
-        log_w = -z * z - math.log(order) - 2.0 * math.log(abs(qn1))
+        log_w = -z * z - math.log(order) - 2.0 * math.log(abs(q))
         wts[i] = math.exp(log_w) if log_w > -745.0 else 0.0
     if order % 2:
         xs = np.concatenate([-roots[: m - 1], [0.0], roots[: m - 1][::-1]])

@@ -234,6 +234,14 @@ def test_rates_rejects_a_non_finite_c_as_invalid_input(tmp_path, value, capsys):
     assert capsys.readouterr().err == "error: c must be finite\n"
 
 
+@pytest.mark.parametrize("grid", ["0.1,0.05", "0.1,0.05,-0.02,0.01", "0.1,0.05,0,0.01"])
+def test_rates_rejects_a_short_or_non_positive_grid_before_writing(tmp_path, grid, capsys):
+    # the grid is checked before the first solve: no rates.csv is left behind
+    assert run("rates", "--c-grid", grid, "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == f"error: --c-grid needs 4 or more values c > 0, got {grid}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_rejects_an_infeasible_c_as_invalid_input(tmp_path, capsys):
     # logcosh's E[K] stays below 0.213932, so c = 0.4 is bad input, rejected
     # before any Newton run; sweep and densities flag the same error instead
@@ -375,9 +383,13 @@ def test_svg_outputs_deterministic(tmp_path, data_csv):
 
 def test_cli_import_loads_no_scipy_until_a_stream_samples():
     # scipy.special costs more to import than a typical command's work;
-    # only sampling (ndtri) may load it, and only when it samples
+    # only sampling (ndtri) may load it, and only when it samples.  Both
+    # Gauss-Hermite rules are built first, so a rule build that reaches
+    # for scipy (eigh_tridiagonal, roots_hermite) fails here too
     probe = (
         "import sys, icaprobe.cli\n"
+        "from icaprobe.quadrature import gaussian_weighted_rule\n"
+        "gaussian_weighted_rule(200), gaussian_weighted_rule(400)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "from icaprobe.rng import ReproducibleStream\n"
         "ReproducibleStream(0).normals(1)\n"

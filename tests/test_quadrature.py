@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from icaprobe import quadrature
 from icaprobe.errors import AccuracyError
 from icaprobe.quadrature import (
     QuadratureRule,
@@ -89,6 +91,109 @@ def test_high_order_drops_underflowed_tail_nodes():
     assert len(rule.nodes) <= 400
     assert np.all(rule.weights > 0)
     assert rule.apply(lambda x: x**2) == pytest.approx(1.0, abs=1e-12)
+
+
+def _scalar_pair(z, n):
+    q1 = math.pi ** -0.25 * math.exp(-0.5 * z * z)
+    q2 = 0.0
+    for j in range(1, n + 1):
+        q1, q2 = z * math.sqrt(2.0 / j) * q1 - math.sqrt((j - 1.0) / j) * q2, q1
+    return q1, q2
+
+
+def _scalar_hermite_nodes_weights(order):
+    """Reference: the root-by-root build, one Python-float Newton run per root."""
+    m = (order + 1) // 2
+    roots = np.empty(m)
+    wts = np.empty(m)
+    z = 0.0
+    for i in range(m):
+        if i == 0:
+            z = math.sqrt(2 * order + 1) - 1.85575 * (2 * order + 1) ** (-1.0 / 6.0)
+        elif i == 1:
+            z -= 1.14 * order ** 0.426 / z
+        elif i == 2:
+            z = 1.86 * z - 0.86 * roots[0]
+        elif i == 3:
+            z = 1.91 * z - 0.91 * roots[1]
+        else:
+            z = 2.0 * z - roots[i - 2]
+        if i == m - 1 and order % 2:
+            z = 0.0
+        else:
+            for _ in range(200):
+                qn, qn1 = _scalar_pair(z, order)
+                step = qn / (math.sqrt(2.0 * order) * qn1 - z * qn)
+                step = max(-1.0, min(1.0, step))
+                z_prev, z = z, z - step
+                if abs(z - z_prev) <= 1e-15 * max(1.0, abs(z)):
+                    break
+        roots[i] = z
+        _, qn1 = _scalar_pair(z, order)
+        log_w = -z * z - math.log(order) - 2.0 * math.log(abs(qn1))
+        wts[i] = math.exp(log_w) if log_w > -745.0 else 0.0
+    if order % 2:
+        xs = np.concatenate([-roots[: m - 1], [0.0], roots[: m - 1][::-1]])
+        ws = np.concatenate([wts[: m - 1], [wts[m - 1]], wts[: m - 1][::-1]])
+    else:
+        xs = np.concatenate([-roots, roots[::-1]])
+        ws = np.concatenate([wts, wts[::-1]])
+    return xs, ws
+
+
+# orders 2..64 cover every start branch (i <= 3) and the odd-order zero root
+@pytest.mark.parametrize("order", [*range(2, 65), 199, 200, 201, 400, 401])
+def test_batched_build_equals_the_root_by_root_build(order):
+    xs, ws = quadrature._hermite_nodes_weights(order)
+    ref_xs, ref_ws = _scalar_hermite_nodes_weights(order)
+    assert np.array_equal(xs, ref_xs)
+    assert np.array_equal(ws, ref_ws)
+
+
+# the surrogate benchmark references were taken with exactly these arrays
+@pytest.mark.parametrize(
+    "order, size, digest",
+    [
+        (200, 200, "688a9b3ca278b33827a36cc4390da30fab5df98da8794fbe25e20dfa7eb255a2"),
+        (400, 398, "c05661e973d953eb975453b6282d255230b2058b937890fce0b97658a439a5d2"),
+    ],
+)
+def test_rule_bytes_are_pinned(order, size, digest):
+    rule = gaussian_weighted_rule(order)
+    assert rule.nodes.size == size
+    assert hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest() == digest
+
+
+def test_rule_build_stops_after_m_plus_one_sweeps(monkeypatch):
+    # even a Newton stand-in whose output changes on every call cannot keep
+    # the sweeps going: sweep k reruns only roots whose start moved, and
+    # root i's start settles once roots i-1 and i-2 have, so the reruns
+    # shrink to none within m + 1 sweeps
+    calls = []
+
+    def restless(z, order, recurrence):
+        calls.append(z.size)
+        return np.full_like(z, float(len(calls)))
+
+    monkeypatch.setattr(quadrature, "_newton", restless)
+    quadrature._hermite_nodes_weights(9)
+    assert calls == [4, 3, 2, 1, 0]
+
+
+def test_rule_build_terminates_on_nan(monkeypatch):
+    # a NaN root never meets the stopping rule: Newton stops at its step
+    # cap, and NaN roots from every sweep still end the build
+    z = quadrature._newton(np.array([np.nan, 2.0]), 4, quadrature._recurrence(4))
+    assert np.isnan(z[0]) and z[1] == pytest.approx(1.6506801238857845)
+    calls = []
+
+    def nan_newton(z, order, recurrence):
+        calls.append(z.size)
+        return np.full_like(z, np.nan)
+
+    monkeypatch.setattr(quadrature, "_newton", nan_newton)
+    quadrature._hermite_nodes_weights(9)
+    assert 1 <= len(calls) <= 5
 
 
 def test_interval_constant():
