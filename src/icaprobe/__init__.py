@@ -24,14 +24,13 @@ from .contrast import (
 from .datagen import BandSpec, GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources
 from .entropy import (
     ETA_1,
-    MSpacingConfig,
     digamma,
     gaussian_entropy,
     kde,
     mspacing_entropy,
     mspacing_negentropy,
 )
-from .fastica import FastIcaConfig, Loadings, amari_error, deflation, fixed_point_step
+from .fastica import Loadings, amari_error, deflation, fixed_point_step
 from .maxent import (
     LinearizedDensity,
     SurrogateDensity,
@@ -44,6 +43,6 @@ from .maxent import (
 )
 from .projsearch import SweepResult, optimize_direction, sweep
 from .quadrature import QuadratureRule, gaussian_weighted_rule, integrate_interval
-from .whiten import Direction, RawData, WhitenedData, project, whiten
+from .whiten import WhitenedData, whiten
 
 __version__ = "0.1.0"

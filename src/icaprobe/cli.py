@@ -25,7 +25,7 @@ import numpy as np
 
 from . import datagen, manifest, svgplot
 from .contrast import GFAMILIES, build_k, c_value, fastica_contrast, logcosh
-from .entropy import MSpacingConfig, kde, mspacing_negentropy
+from .entropy import kde, mspacing_negentropy
 from .errors import (
     AccuracyError,
     ConvergenceError,
@@ -33,7 +33,7 @@ from .errors import (
     InfeasibleConstraintError,
     OptimizationError,
 )
-from .fastica import FastIcaConfig, deflation
+from .fastica import deflation
 from .maxent import (
     LinearizedDensity,
     entropy_by_quadrature,
@@ -43,7 +43,7 @@ from .maxent import (
     sup_error,
 )
 from .projsearch import ALL_CONTRASTS, mspacing_components, optimize_direction, sweep
-from .whiten import RawData, WhitenedData, whiten
+from .whiten import WhitenedData, whiten
 
 _NUMERIC_ERRORS = (ConvergenceError, OptimizationError, GenerationError, AccuracyError)
 
@@ -138,7 +138,7 @@ def _g_function(cfg):
 def _whitened_data(cfg) -> WhitenedData:
     if not cfg["data"]:
         raise ValueError("--data is required")
-    return whiten(RawData(np.loadtxt(cfg["data"], delimiter=",", skiprows=1, ndmin=2)))
+    return whiten(np.loadtxt(cfg["data"], delimiter=",", skiprows=1, ndmin=2))
 
 
 def _svg(path, figure, files) -> None:
@@ -157,13 +157,9 @@ def cmd_generate(cfg, out, svg):
         max_rounds=int(cfg["max_rounds"]),
     )
     data = datagen.gen_banded_gaussian(gen_cfg)
-    _write_csv(out, ["x1", "x2"], [(float(a), float(b)) for a, b in data.values])
+    _write_csv(out, ["x1", "x2"], [(float(a), float(b)) for a, b in data])
     files = [out]
-    _svg(
-        svg,
-        lambda: svgplot.scatter(data.values[:, 0], data.values[:, 1], xlabel="x1", ylabel="x2"),
-        files,
-    )
+    _svg(svg, lambda: svgplot.scatter(data[:, 0], data[:, 1], xlabel="x1", ylabel="x2"), files)
     cfg["rng"] = datagen.RNG_ALGORITHM
     cfg["band_check_frame"] = datagen.BAND_CHECK_FRAME
     return files
@@ -173,8 +169,8 @@ def cmd_sweep(cfg, out, svg):
     """Contrast curves over the half circle."""
     data = _whitened_data(cfg)
     g = _g_function(cfg)
-    mcfg = MSpacingConfig(m=None if cfg["m"] == "auto" else int(cfg["m"]))
-    result = sweep(data, grid_size=int(cfg["grid"]), g=g, mspacing=mcfg)
+    m = None if cfg["m"] == "auto" else int(cfg["m"])
+    result = sweep(data, grid_size=int(cfg["grid"]), g=g, m=m)
     failed = result.f0_failed.astype(int)
     rows = zip(result.thetas, *(result.values[name] for name in ALL_CONTRASTS), failed)
     _write_csv(out, ["theta", *ALL_CONTRASTS, "f0_failed"], rows)
@@ -206,10 +202,9 @@ def cmd_densities(cfg, out, svg):
     p = data.n_components
     choice = cfg["direction"]
     if choice == "mspacing-opt":
-        w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w)).w
+        w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
     elif choice == "fastica-opt":
-        loadings = deflation(data, FastIcaConfig(n_components=1, g=g, seed=int(cfg["seed"])))
-        w = loadings.W[0]
+        w = deflation(data, 1, g, int(cfg["seed"])).W[0]
     else:
         theta = float(choice)
         if p != 2:
@@ -247,9 +242,7 @@ def cmd_ica(cfg, out, svg):
     g = _g_function(cfg)
     components = int(cfg["components"])
     if cfg["method"] == "fastica":
-        loadings = deflation(
-            data, FastIcaConfig(n_components=components, g=g, seed=int(cfg["seed"]))
-        )
+        loadings = deflation(data, components, g, int(cfg["seed"]))
         W = loadings.W
         converged = loadings.converged
         iterations = loadings.iterations
@@ -280,11 +273,13 @@ def cmd_rates(cfg, out, svg):
     k = build_k(g)
     delta = float(cfg["delta"])
     c_grid = [float(v) for v in cfg["c_grid"].split(",")]
-    # checked before the first solve, so that a bad grid writes no file
+    # checked before the first solve, so that bad input writes no file
     if not all(math.isfinite(c) for c in c_grid):
         raise ValueError("c must be finite")
     if len(c_grid) < 4 or min(c_grid) <= 0:
         raise ValueError(f"--c-grid needs 4 or more values c > 0, got {cfg['c_grid']}")
+    if not 0.0 < delta < 0.5:  # false for nan and inf too
+        raise ValueError(f"--delta must be in (0, 1/2), got {cfg['delta']}")
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
     rows = []
     for c in c_grid:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GenerationError
 from .rng import ALGORITHM as RNG_ALGORITHM
 from .rng import ReproducibleStream
-from .whiten import RawData, whiten
+from .whiten import whiten
 
 #: Frame in which band membership is evaluated (see module docstring).
 BAND_CHECK_FRAME = "current-whitened"
@@ -74,11 +74,11 @@ class GenConfig:
             raise ValueError("max_rounds must be >= 1")
 
 
-def gen_banded_gaussian(cfg: GenConfig) -> RawData:
+def gen_banded_gaussian(cfg: GenConfig) -> np.ndarray:
     """Generate the banded two-dimensional Gaussian sample.
 
-    Output has exactly cfg.n points, none of whose first coordinates lies
-    in a band (in the check frame).  Same config, same bytes.
+    Returns a (cfg.n, 2) array of points, none of whose first coordinates
+    lies in a band (in the check frame).  Same config, same bytes.
     """
     stream = ReproducibleStream(cfg.seed)
 
@@ -87,7 +87,7 @@ def gen_banded_gaussian(cfg: GenConfig) -> RawData:
 
     pts = draw(cfg.n)
     if not cfg.bands.intervals:
-        return RawData(pts)
+        return pts
     # acceptance probability must be positive: a fresh point avoids bands
     # whenever the Gaussian leaves mass outside them, always true for
     # finite-width bands, so only an empty-interval misconfiguration could
@@ -95,7 +95,7 @@ def gen_banded_gaussian(cfg: GenConfig) -> RawData:
     for _ in range(cfg.max_rounds):
         in_band = cfg.bands.contains(pts[:, 0])
         if not in_band.any() and len(pts) == cfg.n:
-            return RawData(pts)
+            return pts
         survivors = pts[~in_band]
         if len(survivors) < 3:
             raise GenerationError(
@@ -143,7 +143,7 @@ def rotation_2d(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def gen_mixed_sources(cfg: MixConfig) -> tuple[RawData, np.ndarray]:
+def gen_mixed_sources(cfg: MixConfig) -> tuple[np.ndarray, np.ndarray]:
     """Draw independent unit-variance sources and mix them.
 
     Returns the observed data (rows = observations of A s) and the true
@@ -160,4 +160,4 @@ def gen_mixed_sources(cfg: MixConfig) -> tuple[RawData, np.ndarray]:
         else:  # two-point
             cols.append(np.where(stream.uniforms(cfg.n) < 0.5, -1.0, 1.0))
     S = np.column_stack(cols)
-    return RawData(S @ cfg.mixing.T), cfg.mixing
+    return S @ cfg.mixing.T, cfg.mixing

@@ -15,7 +15,6 @@ reference, and a Gaussian-kernel density estimate supports figure output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -52,32 +51,26 @@ def digamma(m: int) -> float:
     return math.fsum(1.0 / j for j in range(1, int(x))) - np.euler_gamma
 
 
-@dataclass(frozen=True)
-class MSpacingConfig:
-    """Spacing parameter choice: an explicit m, or None for the sqrt rule."""
-
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.m is not None and self.m < 3:
-            raise ValueError("explicit m must be >= 3")
-
-    def resolve(self, n: int) -> int:
-        m = int(math.isqrt(n)) if self.m is None else self.m
-        if not 3 <= m <= n - 1:
-            raise ValueError(f"m={m} outside valid range [3, {n - 1}] for n={n}")
-        return m
+def resolve_m(m: int | None, n: int) -> int:
+    """The spacing for n samples: m, or the sqrt rule isqrt(n) when m is
+    None.  Raises ``ValueError`` unless 3 <= m <= n - 1."""
+    if m is None:
+        m = math.isqrt(n)
+    if not 3 <= m <= n - 1:
+        raise ValueError(f"m={m} outside valid range [3, {n - 1}] for n={n}")
+    return m
 
 
-def mspacing_entropy(y, cfg: MSpacingConfig = MSpacingConfig()) -> float:
-    """m-spacing entropy estimate of a one-dimensional sample."""
+def mspacing_entropy(y, m: int | None = None) -> float:
+    """m-spacing entropy estimate of a one-dimensional sample; m is
+    resolved by :func:`resolve_m`."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("sample must be one-dimensional")
     if not np.all(np.isfinite(y)):
         raise ValueError("sample must be finite")
     n = y.shape[0]
-    m = cfg.resolve(n)
+    m = resolve_m(m, n)
     ys = np.sort(y)
     spacings = ys[m:] - ys[:-m]
     span = ys[-1] - ys[0]
@@ -94,9 +87,9 @@ def mspacing_entropy(y, cfg: MSpacingConfig = MSpacingConfig()) -> float:
     return float(np.log(spacings * (n / m)).sum() / n - digamma(m) + math.log(m))
 
 
-def mspacing_negentropy(y, cfg: MSpacingConfig = MSpacingConfig()) -> float:
+def mspacing_negentropy(y, m: int | None = None) -> float:
     """J_{m,n}(y) = eta(1) - H_{m,n}(y), for unit-variance projections."""
-    return ETA_1 - mspacing_entropy(y, cfg)
+    return ETA_1 - mspacing_entropy(y, m)
 
 
 def silverman_bandwidth(y: np.ndarray) -> float:

@@ -6,38 +6,29 @@ Loadings are found one at a time by the fixed-point update
 
 with Gram-Schmidt projection against previously accepted rows after every
 step, restarting from fresh seeded directions when an attempt fails to
-converge.  Convergence uses |<w_{t+1}, w_t>| >= 1 - tol, which tolerates
+converge.  Convergence uses |<w_{t+1}, w_t>| >= 1 - TOL, which tolerates
 the sign-flip oscillation inherent to the update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import GFunction, gaussian_expectation, logcosh
+from .contrast import GFunction, gaussian_expectation
 from .errors import StepDegenerateError
 from .rng import ReproducibleStream
 from .whiten import WhitenedData
 
+#: An attempt has converged once |<w_{t+1}, w_t>| >= 1 - TOL.
+TOL = 1e-6
 
-@dataclass(frozen=True)
-class FastIcaConfig:
-    n_components: int = 1
-    g: GFunction = field(default_factory=logcosh)
-    tol: float = 1e-6
-    max_iter: int = 200
-    restarts: int = 5
-    seed: int = 0
+#: Fixed-point steps per attempt.
+MAX_ITER = 200
 
-    def __post_init__(self):
-        if self.n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1 or self.restarts < 0:
-            raise ValueError("max_iter >= 1 and restarts >= 0 required")
+#: Seeded restarts per component after the first attempt.
+RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -70,8 +61,8 @@ def _orthogonalize(w: np.ndarray, accepted: list[np.ndarray]) -> np.ndarray:
     return w
 
 
-def deflation(D: WhitenedData, cfg: FastIcaConfig) -> Loadings:
-    """Extract cfg.n_components loadings sequentially.
+def deflation(D: WhitenedData, n_components: int, g: GFunction, seed: int) -> Loadings:
+    """Extract n_components loadings sequentially, restarts drawn from seed.
 
     The fixed-point map can attract to any stationary direction of the
     contrast, so every seeded restart is run and the converged candidate
@@ -80,17 +71,19 @@ def deflation(D: WhitenedData, cfg: FastIcaConfig) -> Loadings:
     raised: the last candidate is kept so output rows stay orthonormal.
     """
     p = D.n_components
-    if cfg.n_components > p:
-        raise ValueError(f"asked for {cfg.n_components} components in {p} dimensions")
-    baseline = float(gaussian_expectation(cfg.g))
-    stream = ReproducibleStream(cfg.seed)
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
+    if n_components > p:
+        raise ValueError(f"asked for {n_components} components in {p} dimensions")
+    baseline = float(gaussian_expectation(g))
+    stream = ReproducibleStream(seed)
     accepted: list[np.ndarray] = []
     conv_flags = []
     iter_counts = []
-    for _ in range(cfg.n_components):
+    for _ in range(n_components):
         best = None  # (contrast, w, iters)
         fallback = None
-        for _ in range(cfg.restarts + 1):
+        for _ in range(RESTARTS + 1):
             w = _orthogonalize(stream.unit_vector(p), accepted)
             norm = np.linalg.norm(w)
             if norm < 1e-8:
@@ -99,13 +92,13 @@ def deflation(D: WhitenedData, cfg: FastIcaConfig) -> Loadings:
             converged = False
             iters = 0
             try:
-                for iters in range(1, cfg.max_iter + 1):
-                    w_new = _orthogonalize(fixed_point_step(w, D, cfg.g), accepted)
+                for iters in range(1, MAX_ITER + 1):
+                    w_new = _orthogonalize(fixed_point_step(w, D, g), accepted)
                     norm = np.linalg.norm(w_new)
                     if norm < 1e-12:
                         raise StepDegenerateError("projection annihilated the update")
                     w_new = w_new / norm
-                    done = abs(float(w_new @ w)) >= 1.0 - cfg.tol
+                    done = abs(float(w_new @ w)) >= 1.0 - TOL
                     w = w_new
                     if done:
                         converged = True
@@ -113,7 +106,7 @@ def deflation(D: WhitenedData, cfg: FastIcaConfig) -> Loadings:
             except StepDegenerateError:
                 continue
             if converged:
-                contrast = (float(np.mean(cfg.g.value(D.values @ w))) - baseline) ** 2
+                contrast = (float(np.mean(g.value(D.values @ w))) - baseline) ** 2
                 if best is None or contrast > best[0]:
                     best = (contrast, w, iters)
             else:

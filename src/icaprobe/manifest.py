@@ -32,15 +32,23 @@ def write_manifest(path, command: str, config: dict, files) -> None:
 
 
 def read_config(path) -> dict:
-    """Parse key=value lines; digest and bookkeeping keys are skipped."""
+    """Parse key=value lines; digest and bookkeeping keys are skipped.
+
+    Raises ``ValueError`` when a key other than ``file`` appears twice.
+    """
     out = {}
+    seen = set()
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue
         key, value = line.split("=", 1)
         key = key.strip()
-        if key in ("file", "command", "version"):
+        if key == "file":
             continue
-        out[key] = value.strip()
+        if key in seen:
+            raise ValueError(f"--config key {key} appears more than once")
+        seen.add(key)
+        if key not in ("command", "version"):
+            out[key] = value.strip()
     return out

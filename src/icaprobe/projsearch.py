@@ -11,6 +11,8 @@ great circle at a time, then a golden-section refinement of the best
 grid angle, since the m-spacing objective is too rough for a local search
 from a single start.  :func:`mspacing_components` deflates with it: each
 m-spacing direction is sought in the complement of those found before.
+Directions are plain unit vectors in whitened coordinates, and a
+projection is ``D.values @ w``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import GFunction, build_k, gaussian_expectation, kurtosis_contrast, logcosh
-from .entropy import ETA_1, MSpacingConfig, mspacing_negentropy
+from .entropy import ETA_1, mspacing_negentropy, resolve_m
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
-from .whiten import Direction, WhitenedData, whiten
+from .whiten import WhitenedData, whiten
 
 ALL_CONTRASTS = ("j_mspacing", "j_f0", "j_hat_star", "j_kurtosis")
 
@@ -62,12 +64,14 @@ def sweep(
     D: WhitenedData,
     grid_size: int = 360,
     g: GFunction | None = None,
-    mspacing: MSpacingConfig = MSpacingConfig(),
+    m: int | None = None,
 ) -> SweepResult:
     """Evaluate the whole contrast ladder on a uniform grid over [0, pi).
 
     Every direction gets all of :data:`ALL_CONTRASTS`, with K built from
-    ``g`` (logcosh by default).  J[f0] entries where the surrogate solver
+    ``g`` (logcosh by default) and one spacing for every m-spacing
+    estimate, resolved from ``m`` by :func:`~icaprobe.entropy.resolve_m`
+    before the first direction.  J[f0] entries where the surrogate solver
     fails are NaN with the failure flag set; they are reported, never
     fabricated.  G is evaluated once per direction and feeds both the
     fastICA contrast and c = mean K(y), with the arithmetic of
@@ -80,6 +84,7 @@ def sweep(
         )
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
+    m = resolve_m(m, D.n_samples)
     if g is None:
         g = logcosh()
     k = build_k(g)
@@ -89,7 +94,7 @@ def sweep(
     f0_failed = np.zeros(grid_size, dtype=bool)
     for i, theta in enumerate(thetas):
         y = D.values @ np.array([math.sin(theta), math.cos(theta)])
-        values["j_mspacing"][i] = mspacing_negentropy(y, mspacing)  # rejects non-finite y
+        values["j_mspacing"][i] = mspacing_negentropy(y, m)  # rejects non-finite y
         gv = g.value(y)
         values["j_hat_star"][i] = (np.mean(gv) - g_gauss) ** 2
         values["j_kurtosis"][i] = kurtosis_contrast(y)
@@ -129,9 +134,9 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def optimize_direction(D: WhitenedData, contrast) -> Direction:
+def optimize_direction(D: WhitenedData, contrast) -> np.ndarray:
     """Maximize an even objective, ``contrast(w) == contrast(-w)``, over
-    the unit sphere.
+    the unit sphere, and return the unit vector that attains it.
 
     From w = e_p, a sweep takes each row u of an orthonormal basis of w's
     complement: ``contrast(cos t w + sin t u)`` is evaluated for t on
@@ -141,8 +146,10 @@ def optimize_direction(D: WhitenedData, contrast) -> Direction:
     improves.  Sweeps repeat until one moves w by less than a grid step.
     At p = 2 the one circle is the whole sphere and t is the sweep's
     theta, so one sweep is exact; at p = 1 the sphere is ±e_1, one
-    evaluation.  Non-finite values are skipped; raises
-    :class:`OptimizationError` if no direction gives a finite value.
+    evaluation.  At p = 2 the result is [sin theta, cos theta] with theta
+    in [0, pi), the sweep's form of the direction.  Non-finite values are
+    skipped; raises :class:`OptimizationError` if no direction gives a
+    finite value.
     """
     p = D.n_components
     step = math.pi / GRID_SIZE
@@ -170,8 +177,9 @@ def optimize_direction(D: WhitenedData, contrast) -> Direction:
     if not math.isfinite(best):
         raise OptimizationError("no direction gave a finite objective")
     if p == 2:
-        return Direction.from_angle(math.atan2(w[0], w[1]) % math.pi)
-    return Direction(w=w)
+        theta = math.atan2(w[0], w[1]) % math.pi
+        return np.array([np.sin(theta), np.cos(theta)])
+    return w
 
 
 def mspacing_components(data: WhitenedData, components: int) -> np.ndarray:
@@ -198,8 +206,8 @@ def mspacing_components(data: WhitenedData, components: int) -> np.ndarray:
         else:
             reduced = data.values @ basis
             sub = whiten(reduced)  # complement projections are already white
-            direction = optimize_direction(sub, lambda u: mspacing_negentropy(sub.values @ u))
-            w = basis @ (sub.transform @ direction.w)
+            u = optimize_direction(sub, lambda u: mspacing_negentropy(sub.values @ u))
+            w = basis @ (sub.transform @ u)
             w = w / np.linalg.norm(w)
         rows.append(w)
     return np.vstack(rows)

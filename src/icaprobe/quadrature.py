@@ -42,6 +42,9 @@ DEFAULT_ORDER = 200
 #: handled here are sub-Gaussian-tailed; mass outside [-12, 12] is < 1e-30.
 DENSITY_SUPPORT = (-12.0, 12.0)
 
+#: Point budget of :func:`integrate_interval`.
+MAX_POINTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -248,7 +251,6 @@ def integrate_interval(
     tol: float = 1e-10,
     *,
     initial_panels: int = 16,
-    max_points: int = 1 << 22,
 ) -> float:
     """Integrate f over [lo, hi] to absolute tolerance tol.
 
@@ -259,7 +261,7 @@ def integrate_interval(
     Richardson error estimate |S_k - S_{k-1}| / 15 <= tol on two consecutive
     doublings, which protects against narrow features invisible to coarse
     grids.  Raises :class:`AccuracyError` (carrying the best estimate and
-    its error bound) if the point budget is exhausted.
+    its error bound) if the :data:`MAX_POINTS` budget is exhausted.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -274,7 +276,7 @@ def integrate_interval(
     agreements = 0
     best = s_prev
     err = math.inf
-    while 2 * n + 1 <= max_points:
+    while 2 * n + 1 <= MAX_POINTS:
         n *= 2
         h = (hi - lo) / n
         mid = np.linspace(lo + h, hi - h, n // 2)  # new midpoints only
@@ -294,7 +296,7 @@ def integrate_interval(
             agreements = 0
         s_prev = s
     raise AccuracyError(
-        f"integrate_interval did not reach tol={tol:g} within {max_points} points "
+        f"integrate_interval did not reach tol={tol:g} within {MAX_POINTS} points "
         f"(best estimate {best:.17g}, error bound {err:.3g})",
         best_estimate=best,
         error_bound=err,

@@ -1,4 +1,4 @@
-"""Centering, whitening, and projection of observation matrices.
+"""Centering and whitening of observation matrices.
 
 Whitening maps an n x p~ observation matrix (rows are observations) to an
 n x p matrix D with p = min(p~, n - 1) and sample covariance
@@ -20,32 +20,6 @@ from .errors import DegenerateDataError
 #: Eigenvalues below this multiple of the largest are treated as rank
 #: deficiency; keeping them would amplify noise directions by >= 1e6.
 RANK_THRESHOLD = 1e-12
-
-
-@dataclass(frozen=True)
-class RawData:
-    """n x p~ observation matrix, rows = observations."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("values must be a 2-d matrix")
-        n, p = values.shape
-        if n < 2 or p < 1:
-            raise ValueError(f"need n >= 2 and p >= 1, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_variables(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -76,42 +50,22 @@ class WhitenedData:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector in whitened coordinates; for p=2 optionally its angle."""
+def whiten(X) -> WhitenedData:
+    """Center and whiten an n x p~ observation matrix, dropping
+    rank-deficient directions.
 
-    w: np.ndarray
-    angle: float | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("direction must be a vector")
-        if abs(w @ w - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        object.__setattr__(self, "w", w)
-        if self.angle is not None:
-            if w.shape[0] != 2:
-                raise ValueError("angle form only defined for p = 2")
-            expected = np.array([np.sin(self.angle), np.cos(self.angle)])
-            if np.abs(w - expected).max() > 1e-12:
-                raise ValueError("angle and vector are inconsistent")
-
-    @classmethod
-    def from_angle(cls, theta: float) -> "Direction":
-        return cls(w=np.array([np.sin(theta), np.cos(theta)]), angle=float(theta))
-
-
-def whiten(raw: RawData | np.ndarray) -> WhitenedData:
-    """Center and whiten, dropping rank-deficient directions.
-
-    Raises :class:`DegenerateDataError` when the input has no variance at
+    Raises ``ValueError`` unless X is a finite 2-d matrix with n >= 2 and
+    p~ >= 1, and :class:`DegenerateDataError` when it has no variance at
     all (all rows identical).
     """
-    if not isinstance(raw, RawData):
-        raw = RawData(np.asarray(raw, dtype=float))
-    X = raw.values
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("values must be a 2-d matrix")
     n, p_raw = X.shape
+    if n < 2 or p_raw < 1:
+        raise ValueError(f"need n >= 2 and p >= 1, got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("values must be finite")
     center = X.mean(axis=0)
     Xc = X - center
     cov = Xc.T @ Xc / (n - 1)
@@ -133,12 +87,3 @@ def whiten(raw: RawData | np.ndarray) -> WhitenedData:
         transform = Vk / np.sqrt(lam[keep])
     return WhitenedData(values=Xc @ transform, transform=transform, center=center)
 
-
-def project(data: WhitenedData, w: Direction | np.ndarray) -> np.ndarray:
-    """Project whitened data onto a unit direction, y = D w."""
-    vec = w.w if isinstance(w, Direction) else np.asarray(w, dtype=float)
-    if vec.shape != (data.n_components,):
-        raise ValueError(
-            f"direction has dimension {vec.shape[0]}, data has {data.n_components}"
-        )
-    return data.values @ vec

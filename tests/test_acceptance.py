@@ -37,8 +37,8 @@ from icaprobe.contrast import (
     quartic,
 )
 from icaprobe.datagen import GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources, rotation_2d
-from icaprobe.entropy import ETA_1, MSpacingConfig, mspacing_entropy
-from icaprobe.fastica import FastIcaConfig, amari_error, deflation
+from icaprobe.entropy import ETA_1, mspacing_entropy
+from icaprobe.fastica import amari_error, deflation
 from icaprobe.maxent import solve_f0, uniform_mixture_case
 from icaprobe.projsearch import sweep
 from icaprobe.rng import ReproducibleStream
@@ -187,16 +187,13 @@ def test_criterion_7_mspacing_consistency():
     gauss_errs = {}
     for n in (10_000, 100_000, 1_000_000):
         m = math.isqrt(n)
-        cfg = MSpacingConfig(m=m)
         errs = [
-            mspacing_entropy(ReproducibleStream(100 + s).normals(n), cfg) - ETA_1
+            mspacing_entropy(ReproducibleStream(100 + s).normals(n), m) - ETA_1
             for s in range(5)
         ]
         gauss_errs[n] = (float(np.mean(errs)), -(m / n) * math.log(n / m))
     unif_errs = [
-        mspacing_entropy(
-            ReproducibleStream(200 + s).uniforms(100_000), MSpacingConfig(m=316)
-        )
+        mspacing_entropy(ReproducibleStream(200 + s).uniforms(100_000), m=316)
         for s in range(5)
     ]
     unif_mean = abs(float(np.mean(unif_errs)))
@@ -249,11 +246,11 @@ def test_criterion_9_fastica_recovery():
         MixConfig(n=10_000, kinds=("uniform", "uniform"), mixing=rotation_2d(0.5), seed=77)
     )
     data = whiten(raw)
-    loadings = deflation(data, FastIcaConfig(n_components=2, seed=5))
+    loadings = deflation(data, 2, logcosh(), 5)
     err = amari_error(loadings.W @ data.transform.T, mixing)
 
     noise = whiten(ReproducibleStream(88).normals(20_000).reshape(10_000, 2))
-    w = deflation(noise, FastIcaConfig(n_components=1, seed=6)).W[0]
+    w = deflation(noise, 1, logcosh(), 6).W[0]
     contrast = fastica_contrast(noise.values @ w, logcosh())
     _report(
         9,

@@ -250,6 +250,18 @@ def test_rates_rejects_an_infeasible_c_as_invalid_input(tmp_path, capsys):
     assert err.startswith("error: constraint value 0.4 lies past the upper bound 0.213932")
 
 
+@pytest.mark.parametrize("delta", ["0.7", "0.5", "0", "-0.1", "nan", "inf"])
+def test_rates_checks_delta_before_the_first_solve(tmp_path, monkeypatch, capsys, delta):
+    import icaprobe.cli as cli
+
+    solves = []
+    monkeypatch.setattr(cli, "solve_f0", lambda *args: solves.append(args))
+    assert run("rates", "--delta", delta, "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == f"error: --delta must be in (0, 1/2), got {float(delta)}\n"
+    assert solves == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_invalid_args(tmp_path):
     assert run("sweep", "--out", tmp_path / "x.csv") == 2  # no data
 
@@ -259,6 +271,40 @@ def test_zero_variance_data_is_invalid_input(tmp_path, capsys):
     data.write_text("x1,x2\n1,2\n1,2\n1,2\n")
     assert run("sweep", "--data", data, "--out", tmp_path / "s.csv") == 2
     assert capsys.readouterr().err == "error: input has zero variance in every direction\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "densities", "ica"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_data_is_invalid_input(tmp_path, capsys, command, value):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"x1,x2\n0.1,2\n{value},1\n1.5,-3\n0.4,0.2\n")
+    out = tmp_path / "o.csv"
+    assert run(command, "--data", data, "--out", out) == 2
+    assert capsys.readouterr().err == "error: values must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [2, 2000])
+def test_sweep_rejects_m_outside_its_range(tmp_path, capsys, m):
+    data = tmp_path / "points.csv"
+    assert run("generate", "--n", 2000, "--out", data) == 0
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--data", data, "--m", m, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: m={m} outside valid range [3, 1999] for n=2000\n"
+    assert not out.exists()
+
+
+def test_config_with_a_repeated_key_is_rejected(tmp_path, data_csv, capsys):
+    # a repeated key is ambiguous, except file=, which every manifest repeats
+    config = tmp_path / "twice.cfg"
+    config.write_text(f"data={data_csv}\ngrid=8\nfile=a.csv:00\nfile=b.svg:11\ngrid=16\n")
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--config", config, "--out", out) == 2
+    assert capsys.readouterr().err == "error: --config key grid appears more than once\n"
+    assert not out.exists()
+    config.write_text(f"data={data_csv}\ngrid=8\nfile=a.csv:00\nfile=b.svg:11\n")
+    assert run("sweep", "--config", config, "--out", out) == 0
+    assert len(out.read_text().splitlines()) == 1 + 8
 
 
 def test_config_with_an_unknown_key_is_rejected(tmp_path, data_csv, capsys):

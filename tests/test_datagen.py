@@ -18,34 +18,34 @@ from icaprobe.rng import ReproducibleStream
 def test_empty_bands_gives_plain_gaussian():
     cfg = GenConfig(n=5000, bands=BandSpec(intervals=()), seed=3)
     data = gen_banded_gaussian(cfg)
-    assert data.values.shape == (5000, 2)
+    assert data.shape == (5000, 2)
     # first two moments match the standard Gaussian within 4/sqrt(n)
     bound = 4.0 / np.sqrt(5000)
-    assert np.abs(data.values.mean(axis=0)).max() < bound
-    assert np.abs(data.values.var(axis=0) - 1.0).max() < 4.0 * bound
+    assert np.abs(data.mean(axis=0)).max() < bound
+    assert np.abs(data.var(axis=0) - 1.0).max() < 4.0 * bound
     # identical to the raw stream: nothing was removed or re-whitened
     direct = ReproducibleStream(3).normals(10000).reshape(5000, 2)
-    assert np.array_equal(data.values, direct)
+    assert np.array_equal(data, direct)
 
 
 def test_default_bands_leave_no_points_inside():
     cfg = GenConfig(n=2000, seed=42)
     data = gen_banded_gaussian(cfg)
-    assert data.values.shape == (2000, 2)
-    assert not cfg.bands.contains(data.values[:, 0]).any()
+    assert data.shape == (2000, 2)
+    assert not cfg.bands.contains(data[:, 0]).any()
 
 
 def test_determinism_bitwise():
     cfg = GenConfig(n=1500, seed=7)
     a = gen_banded_gaussian(cfg)
     b = gen_banded_gaussian(cfg)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
     a = gen_banded_gaussian(GenConfig(n=500, seed=1))
     b = gen_banded_gaussian(GenConfig(n=500, seed=2))
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_round_budget_failure_reports_achieved():
@@ -88,7 +88,7 @@ def test_mixed_sources_identity_gaussian():
     cfg = MixConfig(n=20000, kinds=("gaussian", "gaussian"), mixing=np.eye(2), seed=11)
     data, mixing = gen_mixed_sources(cfg)
     assert np.array_equal(mixing, np.eye(2))
-    cov = data.values.T @ data.values / (cfg.n - 1)
+    cov = data.T @ data / (cfg.n - 1)
     assert np.abs(cov - np.eye(2)).max() < 0.05
 
 
@@ -96,7 +96,7 @@ def test_mixed_sources_rotation_ground_truth():
     cfg = MixConfig(n=4000, kinds=("uniform", "uniform"), mixing=rotation_2d(np.pi / 6), seed=12)
     data, mixing = gen_mixed_sources(cfg)
     # unmixing recovers bounded support: rotate back, check range ~ sqrt(3)
-    sources = data.values @ np.linalg.inv(mixing).T
+    sources = data @ np.linalg.inv(mixing).T
     assert np.abs(sources).max() < np.sqrt(3.0) + 1e-9
     assert np.abs(sources.std(axis=0) - 1.0).max() < 0.05
 
@@ -104,7 +104,7 @@ def test_mixed_sources_rotation_ground_truth():
 def test_two_point_sources_binary():
     cfg = MixConfig(n=1000, kinds=("two-point", "two-point"), mixing=np.eye(2), seed=13)
     data, _ = gen_mixed_sources(cfg)
-    assert set(np.unique(data.values)) == {-1.0, 1.0}
+    assert set(np.unique(data)) == {-1.0, 1.0}
 
 
 def test_mix_config_validation():

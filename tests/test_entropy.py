@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from icaprobe.cli import DENSITY_GRID
 from icaprobe.entropy import (
     ETA_1,
-    MSpacingConfig,
     digamma,
     gaussian_entropy,
     kde,
     mspacing_entropy,
     mspacing_negentropy,
+    resolve_m,
     silverman_bandwidth,
 )
 from icaprobe.errors import DegenerateSampleError
@@ -103,13 +103,13 @@ def test_mspacing_gaussian_large_sample():
     # the estimator's bias is about -(m/n) log(n/m) = -0.018 at this
     # (n, m); seed 1000 gives -0.0157, well inside 0.03
     y = ReproducibleStream(1000).normals(100_000)
-    h = mspacing_entropy(y, MSpacingConfig(m=316))
+    h = mspacing_entropy(y, m=316)
     assert h == pytest.approx(ETA_1, abs=0.03)
 
 
 def test_mspacing_uniform_large_sample():
     y = ReproducibleStream(1001).uniforms(100_000)
-    h = mspacing_entropy(y, MSpacingConfig(m=316))
+    h = mspacing_entropy(y, m=316)
     assert h == pytest.approx(0.0, abs=0.01)
 
 
@@ -124,7 +124,7 @@ def test_mspacing_scaling_equivariance(rng):
     # exact form: H(a y) = H(y) + ((n - m)/n) log a for the truncated sum
     y = rng.standard_normal(1500)
     n = len(y)
-    m = MSpacingConfig().resolve(n)
+    m = resolve_m(None, n)
     scale = 3.7
     lhs = mspacing_entropy(scale * y)
     rhs = mspacing_entropy(y) + (n - m) / n * math.log(scale)
@@ -141,7 +141,7 @@ def test_mspacing_permutation_invariant(perm):
 
 def test_mspacing_negentropy_gaussian():
     y = ReproducibleStream(1002).normals(100_000)
-    assert mspacing_negentropy(y, MSpacingConfig(m=316)) == pytest.approx(
+    assert mspacing_negentropy(y, m=316) == pytest.approx(
         0.0, abs=0.03
     )
 
@@ -150,7 +150,7 @@ def test_mspacing_negentropy_uniform_unit_variance():
     # H of U(a, b) is log(b - a); unit variance needs b - a = sqrt(12),
     # so J = eta(1) - (1/2) log 12 = 0.1764852
     y = (ReproducibleStream(1003).uniforms(100_000) - 0.5) * math.sqrt(12.0)
-    j = mspacing_negentropy(y, MSpacingConfig(m=316))
+    j = mspacing_negentropy(y, m=316)
     assert j == pytest.approx(ETA_1 - 0.5 * math.log(12.0), abs=0.01)
     assert ETA_1 - 0.5 * math.log(12.0) == pytest.approx(0.1764852, abs=1e-7)
 
@@ -181,18 +181,23 @@ def test_mspacing_consistency_trend():
 
 def test_mspacing_config_validation():
     with pytest.raises(ValueError):
-        MSpacingConfig(m=2)
-    assert MSpacingConfig().resolve(100) == 10
+        resolve_m(2, 100)
+    assert resolve_m(None, 100) == 10
+    assert resolve_m(3, 4) == 3
     with pytest.raises(ValueError):
-        MSpacingConfig(m=50).resolve(40)
+        resolve_m(50, 40)
+    with pytest.raises(ValueError):
+        resolve_m(None, 8)  # isqrt(8) = 2
+    with pytest.raises(ValueError, match="outside valid range"):
+        mspacing_entropy(np.arange(40.0), 40)
 
 
 def test_mspacing_explicit_m_is_used():
     # an integer m alone selects it; the sqrt rule would take m = 100 here
     y = ReproducibleStream(1006).normals(10_000)
-    assert MSpacingConfig(m=30).resolve(10_000) == 30
-    assert mspacing_entropy(y, MSpacingConfig(m=30)) != mspacing_entropy(y)
-    assert mspacing_entropy(y, MSpacingConfig(m=100)) == mspacing_entropy(y)
+    assert resolve_m(30, 10_000) == 30
+    assert mspacing_entropy(y, 30) != mspacing_entropy(y)
+    assert mspacing_entropy(y, 100) == mspacing_entropy(y)
 
 
 def test_kde_recovers_gaussian_density():

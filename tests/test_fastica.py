@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from icaprobe.contrast import fastica_contrast, logcosh
 from icaprobe.datagen import MixConfig, gen_mixed_sources, rotation_2d
-from icaprobe.fastica import FastIcaConfig, Loadings, amari_error, deflation, fixed_point_step
+from icaprobe import fastica
+from icaprobe.fastica import Loadings, amari_error, deflation, fixed_point_step
 from icaprobe.rng import ReproducibleStream
 from icaprobe.whiten import whiten
 
@@ -42,7 +43,7 @@ def test_fixed_point_sign_equivariance(uniform_pair):
 
 def test_deflation_recovers_rotated_uniforms(uniform_pair):
     data, mixing = uniform_pair
-    loadings = deflation(data, FastIcaConfig(n_components=2, g=logcosh(), seed=5))
+    loadings = deflation(data, 2, logcosh(), 5)
     assert loadings.converged.all()
     err = amari_error(total_unmixing(loadings, data), mixing)
     assert err < 0.05
@@ -51,17 +52,26 @@ def test_deflation_recovers_rotated_uniforms(uniform_pair):
 def test_deflation_on_gaussian_noise_has_tiny_contrast():
     raw = ReproducibleStream(77).normals(20_000).reshape(10_000, 2)
     data = whiten(raw)
-    loadings = deflation(data, FastIcaConfig(n_components=1, seed=3))
+    loadings = deflation(data, 1, logcosh(), 3)
     y = data.values @ loadings.W[0]
     assert fastica_contrast(y, logcosh()) < 1e-3
 
 
-def test_deflation_rows_orthonormal_regardless(uniform_pair):
+def test_deflation_rows_orthonormal_regardless(uniform_pair, monkeypatch):
     data, _ = uniform_pair
     # absurdly tight tolerance forces non-convergence; rows stay orthonormal
-    loadings = deflation(
-        data, FastIcaConfig(n_components=2, tol=1e-17, max_iter=3, restarts=1, seed=9)
+    monkeypatch.setattr(fastica, "TOL", 1e-17)
+    monkeypatch.setattr(fastica, "MAX_ITER", 3)
+    monkeypatch.setattr(fastica, "RESTARTS", 1)
+    steps = []
+    monkeypatch.setattr(
+        fastica, "fixed_point_step", lambda *args: steps.append(1) or fixed_point_step(*args)
     )
+    loadings = deflation(data, 2, logcosh(), 9)
+    # both attempts at the first row run out of steps; the second row is
+    # forced in two dimensions and converges in one step per attempt
+    assert not loadings.converged[0] and loadings.iterations[0] == 3
+    assert len(steps) == 2 * 3 + 2 * 1
     gram = loadings.W @ loadings.W.T
     assert np.abs(gram - np.eye(2)).max() < 1e-8
     assert loadings.iterations.shape == (2,)
@@ -69,18 +79,16 @@ def test_deflation_rows_orthonormal_regardless(uniform_pair):
 
 def test_deflation_deterministic(uniform_pair):
     data, _ = uniform_pair
-    cfg = FastIcaConfig(n_components=2, seed=11)
-    a = deflation(data, cfg)
-    b = deflation(data, cfg)
+    a = deflation(data, 2, logcosh(), 11)
+    b = deflation(data, 2, logcosh(), 11)
     assert np.array_equal(a.W, b.W)
     assert np.array_equal(a.iterations, b.iterations)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FastIcaConfig(n_components=0)
-    with pytest.raises(ValueError):
-        FastIcaConfig(tol=0.0)
+def test_config_validation(uniform_pair):
+    data, _ = uniform_pair
+    with pytest.raises(ValueError, match="n_components must be >= 1"):
+        deflation(data, 0, logcosh(), 0)
     with pytest.raises(ValueError):
         Loadings(
             W=np.array([[1.0, 0.0], [1.0, 0.0]]),
@@ -92,7 +100,7 @@ def test_config_validation():
 def test_too_many_components_rejected(uniform_pair):
     data, _ = uniform_pair
     with pytest.raises(ValueError):
-        deflation(data, FastIcaConfig(n_components=3))
+        deflation(data, 3, logcosh(), 0)
 
 
 def test_amari_identity_inverse():

@@ -121,8 +121,8 @@ def test_optimizer_quadratic_objective(gaussian_data):
     # quadratic form with known maximizer on the circle
     target = np.array([math.sin(1.234), math.cos(1.234)])
     M = np.outer(target, target)
-    direction = optimize_direction(gaussian_data, lambda w: float(w @ M @ w))
-    assert abs(float(direction.w @ target)) > 1.0 - 1e-6
+    w = optimize_direction(gaussian_data, lambda w: float(w @ M @ w))
+    assert abs(float(w @ target)) > 1.0 - 1e-6
 
 
 def test_optimizer_skips_non_finite_values(gaussian_data):
@@ -133,8 +133,8 @@ def test_optimizer_skips_non_finite_values(gaussian_data):
     def objective(w):
         return float(w @ target) ** 2 if abs(w[1]) < 0.9 else math.nan
 
-    direction = optimize_direction(gaussian_data, objective)
-    assert abs(float(direction.w @ target)) > 1.0 - 1e-6
+    w = optimize_direction(gaussian_data, objective)
+    assert abs(float(w @ target)) > 1.0 - 1e-6
 
 
 def test_optimizer_rejects_an_all_nan_objective(gaussian_data):
@@ -151,10 +151,40 @@ def test_optimizer_at_p1_evaluates_the_only_direction_once():
         calls.append(w)
         return mspacing_negentropy(data.values @ w)
 
-    assert optimize_direction(data, objective).w.tolist() == [1.0]
+    assert optimize_direction(data, objective).tolist() == [1.0]
     assert len(calls) == 1
     with pytest.raises(OptimizationError, match="no direction gave a finite objective"):
         optimize_direction(data, lambda w: math.inf)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_optimizer_returns_a_unit_vector(p):
+    data = whiten(ReproducibleStream(60 + p).uniforms(600 * p).reshape(600, p))
+    w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
+    assert isinstance(w, np.ndarray) and w.shape == (p,)
+    assert abs(float(w @ w) - 1.0) <= 1e-12
+
+
+def test_optimizer_at_p2_returns_the_angle_form(banded_data):
+    # a best direction evaluated, as [sin theta, cos theta] bit for bit
+    # with theta in [0, pi): the sweep's form of a direction
+    for objective in (
+        lambda w: mspacing_negentropy(banded_data.values @ w),
+        lambda w: float(w[0] + 2.0 * w[1]) ** 2,  # maximum at theta = 0.46
+        lambda w: float(w[1] - 1e-3 * w[0]) ** 2,  # maximum at theta = -1e-3 = pi - 1e-3
+    ):
+        seen = []
+
+        def recorded(w, objective=objective):
+            seen.append((objective(w), w))
+            return seen[-1][0]
+
+        w = optimize_direction(banded_data, recorded)
+        top = max(v for v, _ in seen)
+        thetas = [math.atan2(u[0], u[1]) % math.pi for v, u in seen if v == top]
+        assert all(0.0 <= theta < math.pi for theta in thetas)
+        assert w.tolist() in [[np.sin(theta), np.cos(theta)] for theta in thetas]
+    assert thetas[0] == pytest.approx(math.pi - 1e-3, abs=1e-6)
 
 
 def test_optimizer_evaluation_budget_at_p2(banded_data):
@@ -173,10 +203,10 @@ def test_optimizer_evaluation_budget_at_p2(banded_data):
 def test_optimizer_matches_sweep_argmax(banded_data):
     res = sweep(banded_data, grid_size=720)
     theta_sweep, _ = res.argmax("j_hat_star")
-    direction = optimize_direction(
+    w = optimize_direction(
         banded_data, lambda w: fastica_contrast(banded_data.values @ w, logcosh())
     )
-    diff = abs(direction.angle - theta_sweep)
+    diff = abs(math.atan2(w[0], w[1]) % math.pi - theta_sweep)
     diff = min(diff, math.pi - diff)
     assert diff < math.radians(2.0)
 
@@ -186,9 +216,9 @@ def test_optimizer_recovers_source_axis():
         MixConfig(n=8000, kinds=("uniform", "uniform"), mixing=rotation_2d(0.6), seed=13)
     )
     data = whiten(raw)
-    direction = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
+    w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
     # map back to raw coordinates and compare against the source axes
-    w_raw = data.transform @ direction.w
+    w_raw = data.transform @ w
     recovered = mixing.T @ w_raw
     recovered = np.abs(recovered) / np.linalg.norm(recovered)
     assert recovered.max() > math.cos(math.radians(3.0))
@@ -245,19 +275,19 @@ def test_optimizer_three_dimensional_recovery(p):
         MixConfig(n=6000, kinds=("uniform",) + ("gaussian",) * (p - 1), mixing=mix, seed=19)
     )
     data = whiten(raw)
-    direction = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
+    w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
     axis = np.linalg.inv(mixing)[0]
-    w_raw = data.transform @ direction.w
+    w_raw = data.transform @ w
     cos = abs(axis @ w_raw) / (np.linalg.norm(axis) * np.linalg.norm(w_raw))
     assert cos > math.cos(math.radians(3.0))
 
 
 def test_deflation_agrees_with_sweep_argmax(banded_data):
-    from icaprobe.fastica import FastIcaConfig, deflation
+    from icaprobe.fastica import deflation
 
     res = sweep(banded_data, grid_size=360)
     theta_sweep, _ = res.argmax("j_hat_star")
-    w = deflation(banded_data, FastIcaConfig(n_components=1, seed=0)).W[0]
+    w = deflation(banded_data, 1, logcosh(), 0).W[0]
     theta_ica = math.atan2(w[0], w[1]) % math.pi
     diff = abs(theta_ica - theta_sweep)
     diff = min(diff, math.pi - diff)
@@ -279,9 +309,7 @@ def test_counterexample_robust_to_contrast_family(banded_data):
 def test_mspacing_optimizer_agrees_with_sweep_argmax(banded_data):
     res = sweep(banded_data, grid_size=360)
     theta_sweep, _ = res.argmax("j_mspacing")
-    direction = optimize_direction(
-        banded_data, lambda w: mspacing_negentropy(banded_data.values @ w)
-    )
-    diff = abs(direction.angle - theta_sweep)
+    w = optimize_direction(banded_data, lambda w: mspacing_negentropy(banded_data.values @ w))
+    diff = abs(math.atan2(w[0], w[1]) % math.pi - theta_sweep)
     diff = min(diff, math.pi - diff)
     assert diff < math.radians(5.0)

@@ -227,11 +227,18 @@ def test_interval_rejects_bad_arguments():
         integrate_interval(lambda x: x, 0.0, 1.0, -1.0)
 
 
-def test_interval_accuracy_failure_carries_best_estimate():
+def test_interval_accuracy_failure_carries_best_estimate(monkeypatch):
     # oscillation far too fast for the point budget never stabilizes
-    wild = lambda x: np.cos(1e6 * x)
-    with pytest.raises(AccuracyError) as exc:
-        integrate_interval(wild, 0.0, 1.0, 1e-14, max_points=1 << 10)
+    points = []
+
+    def wild(x):
+        points.append(len(x))
+        return np.cos(1e6 * x)
+
+    monkeypatch.setattr(quadrature, "MAX_POINTS", 1 << 10)
+    with pytest.raises(AccuracyError, match="within 1024 points") as exc:
+        integrate_interval(wild, 0.0, 1.0, 1e-14)
+    assert sum(points) <= 1 << 10
     assert exc.value.best_estimate is not None
     assert exc.value.error_bound > 1e-14
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from icaprobe.errors import DegenerateDataError
-from icaprobe.whiten import Direction, RawData, WhitenedData, project, whiten
+from icaprobe.whiten import WhitenedData, whiten
 
 
 def sample_cov(values):
@@ -33,7 +33,7 @@ def test_correlated_gaussian_off_diagonal_vanishes():
     gen = np.random.default_rng(7)
     cov = np.array([[2.0, 1.2], [1.2, 1.5]])
     raw = gen.multivariate_normal([1.0, -2.0], cov, size=100)
-    out = whiten(RawData(raw))
+    out = whiten(raw)
     c = sample_cov(out.values)
     assert abs(c[0, 1]) < 1e-8
     assert np.abs(np.diag(c) - 1.0).max() < 1e-8
@@ -66,47 +66,25 @@ def test_rewhitening_is_stable(rng):
     assert np.abs(sample_cov(twice.values) - np.eye(3)).max() < 1e-8
 
 
-def test_project_extracts_columns(rng):
-    out = whiten(rng.standard_normal((100, 2)))
-    e1 = np.array([1.0, 0.0])
-    assert np.array_equal(project(out, e1), out.values[:, 0])
-
-
-def test_project_sign_flip(rng):
-    out = whiten(rng.standard_normal((100, 2)))
-    w = np.array([0.6, 0.8])
-    assert np.array_equal(project(out, w), -project(out, -w))
-
-
 @given(theta=st.floats(0, 2 * np.pi, allow_nan=False))
 def test_projection_mean_and_variance(theta):
     gen = np.random.default_rng(11)
     out = whiten(gen.standard_normal((256, 2)) @ np.array([[1.0, 0.4], [0.0, 1.0]]))
-    y = project(out, Direction.from_angle(theta))
+    y = out.values @ np.array([np.sin(theta), np.cos(theta)])
     assert abs(y.mean()) < 1e-10
     assert abs(y @ y / (len(y) - 1) - 1.0) < 1e-8
 
 
-def test_project_dimension_mismatch(rng):
-    out = whiten(rng.standard_normal((100, 2)))
-    with pytest.raises(ValueError):
-        project(out, np.array([1.0, 0.0, 0.0]))
-
-
-def test_direction_validation():
-    with pytest.raises(ValueError):
-        Direction(w=np.array([1.0, 1.0]))
-    d = Direction.from_angle(0.3)
-    assert d.w @ d.w == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        Direction(w=np.array([1.0, 0.0]), angle=0.3)
-
-
 def test_raw_data_validation():
-    with pytest.raises(ValueError):
-        RawData(np.array([[1.0, np.inf], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        RawData(np.ones((1, 3)))
+    for raw, message in [
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "values must be finite"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "values must be finite"),
+        (np.ones((1, 3)), "need n >= 2"),
+        (np.ones((3, 0)), "need n >= 2"),
+        (np.ones(5), "2-d matrix"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            whiten(raw)
 
 
 def test_whitened_invariants_enforced():
