@@ -21,7 +21,7 @@ from .contrast import (
     negexp,
     quartic,
 )
-from .datagen import BandSpec, GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources
+from .datagen import GenConfig, gen_banded_gaussian, gen_mixed_sources
 from .entropy import (
     ETA_1,
     digamma,
@@ -42,7 +42,7 @@ from .maxent import (
     uniform_mixture_case,
 )
 from .projsearch import SweepResult, optimize_direction, sweep
-from .quadrature import QuadratureRule, gaussian_weighted_rule, integrate_interval
-from .whiten import WhitenedData, whiten
+from .quadrature import gaussian_weighted_rule, integrate_interval
+from .whiten import whiten
 
 __version__ = "0.1.0"

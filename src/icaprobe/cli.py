@@ -43,7 +43,7 @@ from .maxent import (
     sup_error,
 )
 from .projsearch import ALL_CONTRASTS, mspacing_components, optimize_direction, sweep
-from .whiten import WhitenedData, whiten
+from .whiten import whiten
 
 _NUMERIC_ERRORS = (ConvergenceError, OptimizationError, GenerationError, AccuracyError)
 
@@ -62,19 +62,19 @@ def _write_csv(path, header, rows):
             fh.write("\n")
 
 
-def _parse_bands(text: str) -> datagen.BandSpec:
+def _parse_bands(text: str) -> tuple:
     text = text.strip()
     if not text:
-        return datagen.BandSpec(intervals=())
+        return ()
     intervals = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
         intervals.append((float(lo), float(hi)))
-    return datagen.BandSpec(intervals=tuple(intervals))
+    return tuple(intervals)
 
 
-def _bands_str(bands: datagen.BandSpec) -> str:
-    return ",".join(f"{lo:g}:{hi:g}" for lo, hi in bands.intervals)
+def _bands_str(bands) -> str:
+    return ",".join(f"{lo:g}:{hi:g}" for lo, hi in bands)
 
 
 _DATA = ("", {"help": "input CSV, one column per coordinate"})
@@ -89,7 +89,7 @@ OPTIONS = {
     "generate": {
         "n": (2000, {"help": "points to keep, at least 10"}),
         "bands": (
-            _bands_str(datagen.BandSpec()),
+            _bands_str(datagen.DEFAULT_BANDS),
             {"help": 'vertical bands "lo:hi,lo:hi"; empty for none'},
         ),
         "seed": (42, {"help": "seed of the reproducible sample stream"}),
@@ -135,10 +135,10 @@ def _g_function(cfg):
     return GFAMILIES[name]()
 
 
-def _whitened_data(cfg) -> WhitenedData:
+def _whitened_data(cfg) -> np.ndarray:
     if not cfg["data"]:
         raise ValueError("--data is required")
-    return whiten(np.loadtxt(cfg["data"], delimiter=",", skiprows=1, ndmin=2))
+    return whiten(np.loadtxt(cfg["data"], delimiter=",", skiprows=1, ndmin=2))[0]
 
 
 def _svg(path, figure, files) -> None:
@@ -199,10 +199,10 @@ def cmd_densities(cfg, out, svg):
     data = _whitened_data(cfg)
     g = _g_function(cfg)
     k = build_k(g)
-    p = data.n_components
+    p = data.shape[1]
     choice = cfg["direction"]
     if choice == "mspacing-opt":
-        w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
+        w = optimize_direction(data, lambda w: mspacing_negentropy(data @ w))
     elif choice == "fastica-opt":
         w = deflation(data, 1, g, int(cfg["seed"])).W[0]
     else:
@@ -210,7 +210,7 @@ def cmd_densities(cfg, out, svg):
         if p != 2:
             raise ValueError(f"an angle direction needs data with 2 columns, got {p}")
         w = np.array([math.sin(theta), math.cos(theta)])
-    y = data.values @ w
+    y = data @ w
     grid = DENSITY_GRID
     kde_vals = kde(y, grid)
     c = c_value(y, k)
@@ -246,17 +246,17 @@ def cmd_ica(cfg, out, svg):
         W = loadings.W
         converged = loadings.converged
         iterations = loadings.iterations
-        contrast_vals = [fastica_contrast(data.values @ w, g) for w in W]
+        contrast_vals = [fastica_contrast(data @ w, g) for w in W]
     elif cfg["method"] == "mspacing":
         W = mspacing_components(data, components)
         converged = np.ones(components, dtype=bool)
         iterations = np.zeros(components, dtype=int)
-        contrast_vals = [mspacing_negentropy(data.values @ w) for w in W]
+        contrast_vals = [mspacing_negentropy(data @ w) for w in W]
     else:
         raise ValueError(f"unknown method {cfg['method']!r}")
     header = (
         ["component"]
-        + [f"w{j + 1}" for j in range(data.n_components)]
+        + [f"w{j + 1}" for j in range(data.shape[1])]
         + ["converged", "iterations", "contrast"]
     )
     rows = [

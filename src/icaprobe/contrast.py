@@ -153,8 +153,7 @@ def _delta_sign(numerator) -> float:
 
 def build_k(g: GFunction) -> KFunction:
     """Construct the K function for g under the default Gaussian rule."""
-    rule = gaussian_weighted_rule()
-    x, w = rule.nodes, rule.weights
+    x, w = gaussian_weighted_rule()
     gv = g.value(x)
     m0 = float(w @ gv)
     m1 = float(w @ (x * gv))
@@ -186,7 +185,8 @@ def c_value(y, k: KFunction) -> float:
 
 def gaussian_expectation(g: GFunction) -> float:
     """E[G(Z)] for Z ~ N(0, 1), by Gaussian quadrature."""
-    return gaussian_weighted_rule().apply(g.value)
+    x, w = gaussian_weighted_rule()
+    return float(w @ g.value(x))
 
 
 def fastica_contrast(y, g: GFunction) -> float:

@@ -16,7 +16,7 @@ structured direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,43 +31,30 @@ BAND_CHECK_FRAME = "current-whitened"
 DEFAULT_BANDS = ((-0.9, -0.4), (0.4, 0.9))
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    """Disjoint open intervals of forbidden first coordinates."""
-
-    intervals: tuple = DEFAULT_BANDS
-
-    def __post_init__(self):
-        ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
-        for lo, hi in ivs:
-            if not lo < hi:
-                raise ValueError(f"band ({lo}, {hi}) needs lo < hi")
-        for (_, hi1), (lo2, _) in zip(sorted(ivs), sorted(ivs)[1:]):
-            if hi1 > lo2:
-                raise ValueError("bands must be pairwise disjoint")
-        object.__setattr__(self, "intervals", ivs)
-
-    @property
-    def total_width(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Boolean mask of values lying strictly inside any band."""
-        x = np.asarray(x, dtype=float)
-        mask = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            mask |= (x > lo) & (x < hi)
-        return mask
+def _in_band(x: np.ndarray, bands) -> np.ndarray:
+    """Boolean mask of values lying strictly inside any (lo, hi) band."""
+    mask = np.zeros(x.shape, dtype=bool)
+    for lo, hi in bands:
+        mask |= (x > lo) & (x < hi)
+    return mask
 
 
 @dataclass(frozen=True)
 class GenConfig:
     n: int = 2000
-    bands: BandSpec = field(default_factory=BandSpec)
+    bands: tuple = DEFAULT_BANDS  # disjoint open intervals (lo, hi) of forbidden x1
     seed: int = 42
     max_rounds: int = 100
 
     def __post_init__(self):
+        bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
+        for lo, hi in bands:
+            if not lo < hi:
+                raise ValueError(f"band ({lo}, {hi}) needs lo < hi")
+        for (_, hi1), (lo2, _) in zip(sorted(bands), sorted(bands)[1:]):
+            if hi1 > lo2:
+                raise ValueError("bands must be pairwise disjoint")
+        object.__setattr__(self, "bands", bands)
         if self.n < 10:
             raise ValueError("n must be >= 10")
         if self.max_rounds < 1:
@@ -86,14 +73,14 @@ def gen_banded_gaussian(cfg: GenConfig) -> np.ndarray:
         return stream.normals(2 * count).reshape(count, 2)
 
     pts = draw(cfg.n)
-    if not cfg.bands.intervals:
+    if not cfg.bands:
         return pts
     # acceptance probability must be positive: a fresh point avoids bands
     # whenever the Gaussian leaves mass outside them, always true for
     # finite-width bands, so only an empty-interval misconfiguration could
     # stall the top-up; the round budget guards everything else.
     for _ in range(cfg.max_rounds):
-        in_band = cfg.bands.contains(pts[:, 0])
+        in_band = _in_band(pts[:, 0], cfg.bands)
         if not in_band.any() and len(pts) == cfg.n:
             return pts
         survivors = pts[~in_band]
@@ -102,40 +89,17 @@ def gen_banded_gaussian(cfg: GenConfig) -> np.ndarray:
                 "bands remove almost every point; widen the acceptance region",
                 achieved=len(survivors),
             )
-        pts = whiten(survivors).values
+        pts, _ = whiten(survivors)
         need = cfg.n - len(pts)
         if need > 0:
             pts = np.vstack([pts, draw(need)])
     raise GenerationError(
         f"no clean sample of size {cfg.n} within {cfg.max_rounds} rounds",
-        achieved=int((~cfg.bands.contains(pts[:, 0])).sum()),
+        achieved=int((~_in_band(pts[:, 0], cfg.bands)).sum()),
     )
 
 
 SOURCE_KINDS = ("uniform", "gaussian", "two-point")
-
-
-@dataclass(frozen=True)
-class MixConfig:
-    n: int
-    kinds: tuple  # one entry per source, from SOURCE_KINDS
-    mixing: np.ndarray  # (p, p), applied to source vectors
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        kinds = tuple(self.kinds)
-        for kind in kinds:
-            if kind not in SOURCE_KINDS:
-                raise ValueError(f"unknown source kind {kind!r}")
-        mixing = np.asarray(self.mixing, dtype=float)
-        if mixing.shape != (len(kinds), len(kinds)):
-            raise ValueError("mixing matrix must be square, one row per source")
-        if abs(np.linalg.det(mixing)) < 1e-12:
-            raise ValueError("mixing matrix must be nonsingular")
-        object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "mixing", mixing)
 
 
 def rotation_2d(angle: float) -> np.ndarray:
@@ -143,21 +107,32 @@ def rotation_2d(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def gen_mixed_sources(cfg: MixConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Draw independent unit-variance sources and mix them.
+def gen_mixed_sources(n: int, kinds, mixing, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n samples of unit-variance sources, one independent source per
+    entry of ``kinds`` (from :data:`SOURCE_KINDS`), and mix them.
 
     Returns the observed data (rows = observations of A s) and the true
-    mixing matrix A.
+    mixing matrix A = ``mixing``, square and nonsingular.
     """
-    stream = ReproducibleStream(cfg.seed)
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    for kind in kinds:
+        if kind not in SOURCE_KINDS:
+            raise ValueError(f"unknown source kind {kind!r}")
+    mixing = np.asarray(mixing, dtype=float)
+    if mixing.shape != (len(kinds), len(kinds)):
+        raise ValueError("mixing matrix must be square, one row per source")
+    if abs(np.linalg.det(mixing)) < 1e-12:
+        raise ValueError("mixing matrix must be nonsingular")
+    stream = ReproducibleStream(seed)
     cols = []
-    for kind in cfg.kinds:
+    for kind in kinds:
         if kind == "gaussian":
-            cols.append(stream.normals(cfg.n))
+            cols.append(stream.normals(n))
         elif kind == "uniform":
             # U(-sqrt(3), sqrt(3)) has unit variance
-            cols.append((stream.uniforms(cfg.n) * 2.0 - 1.0) * np.sqrt(3.0))
+            cols.append((stream.uniforms(n) * 2.0 - 1.0) * np.sqrt(3.0))
         else:  # two-point
-            cols.append(np.where(stream.uniforms(cfg.n) < 0.5, -1.0, 1.0))
+            cols.append(np.where(stream.uniforms(n) < 0.5, -1.0, 1.0))
     S = np.column_stack(cols)
-    return S @ cfg.mixing.T, cfg.mixing
+    return S @ mixing.T, mixing

@@ -19,7 +19,6 @@ import numpy as np
 from .contrast import GFunction, gaussian_expectation
 from .errors import StepDegenerateError
 from .rng import ReproducibleStream
-from .whiten import WhitenedData
 
 #: An attempt has converged once |<w_{t+1}, w_t>| >= 1 - TOL.
 TOL = 1e-6
@@ -45,10 +44,10 @@ class Loadings:
             raise ValueError("loadings rows must be orthonormal")
 
 
-def fixed_point_step(w: np.ndarray, D: WhitenedData, g: GFunction) -> np.ndarray:
-    """One fastICA fixed-point update of a unit direction."""
-    y = D.values @ w
-    update = D.values.T @ g.deriv(y) / D.n_samples - float(np.mean(g.deriv2(y))) * w
+def fixed_point_step(w: np.ndarray, D: np.ndarray, g: GFunction) -> np.ndarray:
+    """One fastICA fixed-point update of a unit direction in whitened data D."""
+    y = D @ w
+    update = D.T @ g.deriv(y) / D.shape[0] - float(np.mean(g.deriv2(y))) * w
     norm = float(np.linalg.norm(update))
     if norm < 1e-12:
         raise StepDegenerateError("fixed-point update collapsed to zero")
@@ -61,8 +60,8 @@ def _orthogonalize(w: np.ndarray, accepted: list[np.ndarray]) -> np.ndarray:
     return w
 
 
-def deflation(D: WhitenedData, n_components: int, g: GFunction, seed: int) -> Loadings:
-    """Extract n_components loadings sequentially, restarts drawn from seed.
+def deflation(D: np.ndarray, n_components: int, g: GFunction, seed: int) -> Loadings:
+    """Extract n_components loadings of whitened D, restarts drawn from seed.
 
     The fixed-point map can attract to any stationary direction of the
     contrast, so every seeded restart is run and the converged candidate
@@ -70,7 +69,7 @@ def deflation(D: WhitenedData, n_components: int, g: GFunction, seed: int) -> Lo
     update approximates.  Rows with no converged restart are flagged, not
     raised: the last candidate is kept so output rows stay orthonormal.
     """
-    p = D.n_components
+    p = D.shape[1]
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
     if n_components > p:
@@ -106,7 +105,7 @@ def deflation(D: WhitenedData, n_components: int, g: GFunction, seed: int) -> Lo
             except StepDegenerateError:
                 continue
             if converged:
-                contrast = (float(np.mean(g.value(D.values @ w))) - baseline) ** 2
+                contrast = (float(np.mean(g.value(D @ w))) - baseline) ** 2
                 if best is None or contrast > best[0]:
                     best = (contrast, w, iters)
             else:

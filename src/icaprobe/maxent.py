@@ -293,11 +293,6 @@ def _moment_residual(d, x, w, gaussian_weighted, c):
     )
 
 
-def _gh_points(order: int):
-    rule = gaussian_weighted_rule(order)
-    return rule.nodes, rule.weights
-
-
 def _ladder():
     """The rungs of :func:`solve_f0`, coarse to fine, each built when reached.
 
@@ -306,7 +301,8 @@ def _ladder():
     Gauss-Hermite rule or the doubled Simpson grid; the finest grid has
     none.
     """
-    yield (*_gh_points(DEFAULT_ORDER), True, partial(_gh_points, 2 * DEFAULT_ORDER))
+    recheck = partial(gaussian_weighted_rule, 2 * DEFAULT_ORDER)
+    yield (*gaussian_weighted_rule(DEFAULT_ORDER), True, recheck)
     for ngrid in _INTERVAL_GRIDS:
         finer = None if ngrid == _INTERVAL_GRIDS[-1] else partial(_interval_points, 2 * ngrid)
         yield (*_interval_points(ngrid), False, finer)

@@ -11,8 +11,8 @@ great circle at a time, then a golden-section refinement of the best
 grid angle, since the m-spacing objective is too rough for a local search
 from a single start.  :func:`mspacing_components` deflates with it: each
 m-spacing direction is sought in the complement of those found before.
-Directions are plain unit vectors in whitened coordinates, and a
-projection is ``D.values @ w``.
+Data are plain whitened (n, p) arrays D, directions are unit vectors in
+whitened coordinates, and a projection is ``D @ w``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .contrast import GFunction, build_k, gaussian_expectation, kurtosis_contras
 from .entropy import ETA_1, mspacing_negentropy, resolve_m
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
-from .whiten import WhitenedData, whiten
+from .whiten import whiten
 
 ALL_CONTRASTS = ("j_mspacing", "j_f0", "j_hat_star", "j_kurtosis")
 
@@ -61,7 +61,7 @@ class SweepResult:
 
 
 def sweep(
-    D: WhitenedData,
+    D: np.ndarray,
     grid_size: int = 360,
     g: GFunction | None = None,
     m: int | None = None,
@@ -78,13 +78,12 @@ def sweep(
     :func:`~icaprobe.contrast.fastica_contrast` and
     :func:`~icaprobe.contrast.c_value`.
     """
-    if D.n_components != 2:
-        raise UnsupportedDimensionError(
-            f"sweep needs p = 2 (got {D.n_components}); use optimize_direction"
-        )
+    n, p = D.shape
+    if p != 2:
+        raise UnsupportedDimensionError(f"sweep needs p = 2 (got {p}); use optimize_direction")
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    m = resolve_m(m, D.n_samples)
+    m = resolve_m(m, n)
     if g is None:
         g = logcosh()
     k = build_k(g)
@@ -93,7 +92,7 @@ def sweep(
     values = {name: np.empty(grid_size) for name in ALL_CONTRASTS}
     f0_failed = np.zeros(grid_size, dtype=bool)
     for i, theta in enumerate(thetas):
-        y = D.values @ np.array([math.sin(theta), math.cos(theta)])
+        y = D @ np.array([math.sin(theta), math.cos(theta)])
         values["j_mspacing"][i] = mspacing_negentropy(y, m)  # rejects non-finite y
         gv = g.value(y)
         values["j_hat_star"][i] = (np.mean(gv) - g_gauss) ** 2
@@ -134,7 +133,7 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def optimize_direction(D: WhitenedData, contrast) -> np.ndarray:
+def optimize_direction(D: np.ndarray, contrast) -> np.ndarray:
     """Maximize an even objective, ``contrast(w) == contrast(-w)``, over
     the unit sphere, and return the unit vector that attains it.
 
@@ -151,7 +150,7 @@ def optimize_direction(D: WhitenedData, contrast) -> np.ndarray:
     skipped; raises :class:`OptimizationError` if no direction gives a
     finite value.
     """
-    p = D.n_components
+    p = D.shape[1]
     step = math.pi / GRID_SIZE
     grid = np.arange(GRID_SIZE) * step
     w, best = np.eye(p)[-1], -math.inf
@@ -182,7 +181,7 @@ def optimize_direction(D: WhitenedData, contrast) -> np.ndarray:
     return w
 
 
-def mspacing_components(data: WhitenedData, components: int) -> np.ndarray:
+def mspacing_components(D: np.ndarray, components: int) -> np.ndarray:
     """Sequential m-spacing directions, each in the orthogonal complement.
 
     Row k of the returned (components, p) array maximizes the m-spacing
@@ -190,7 +189,7 @@ def mspacing_components(data: WhitenedData, components: int) -> np.ndarray:
     0 ... k-1; the last of p rows is that complement itself.  Raises
     ``ValueError`` unless 1 <= components <= p.
     """
-    p = data.n_components
+    p = D.shape[1]
     if components < 1:
         raise ValueError("n_components must be >= 1")
     if components > p:
@@ -204,10 +203,9 @@ def mspacing_components(data: WhitenedData, components: int) -> np.ndarray:
         if basis.shape[1] == 1:
             w = basis[:, 0]
         else:
-            reduced = data.values @ basis
-            sub = whiten(reduced)  # complement projections are already white
-            u = optimize_direction(sub, lambda u: mspacing_negentropy(sub.values @ u))
-            w = basis @ (sub.transform @ u)
+            sub, transform = whiten(D @ basis)  # complement projections are already white
+            u = optimize_direction(sub, lambda u: mspacing_negentropy(sub @ u))
+            w = basis @ (transform @ u)
             w = w / np.linalg.norm(w)
         rows.append(w)
     return np.vstack(rows)

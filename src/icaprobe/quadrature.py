@@ -25,7 +25,6 @@ result, which is the one a root-by-root build gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,36 +43,6 @@ DENSITY_SUPPORT = (-12.0, 12.0)
 
 #: Point budget of :func:`integrate_interval`.
 MAX_POINTS = 1 << 22
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """An immutable set of nodes and positive weights.
-
-    The weights absorb the normal density: applying the rule to
-    ``f(x) = 1`` yields 1 within 1e-12.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
-        if not np.all(weights > 0):
-            raise ValueError("weights must all be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("gaussian-weighted rule must integrate 1 to 1")
-
-    def apply(self, f) -> float:
-        """Apply the rule to a vectorized function ``f``."""
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
 def _recurrence(n: int) -> tuple[np.ndarray, list[float]]:
@@ -200,13 +169,14 @@ def _hermite_nodes_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-def gaussian_weighted_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
+def gaussian_weighted_rule(order: int = DEFAULT_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite rule rescaled to the standard normal weight.
 
-    ``sum(w_i f(x_i))`` approximates ``integral phi(x) f(x) dx`` and is exact
-    for polynomials of degree <= 2*order - 1.  Nodes whose weight underflows
-    double precision (possible beyond order ~350) are dropped; they cannot
-    contribute at machine precision.
+    Returns ``(nodes, weights)``, both read-only and shared by every
+    caller: ``weights @ f(nodes)`` approximates ``integral phi(x) f(x) dx``
+    and is exact for polynomials of degree <= 2*order - 1.  Nodes whose
+    weight underflows double precision (possible beyond order ~350) are
+    dropped; they cannot contribute at machine precision.
     """
     if not isinstance(order, (int, np.integer)) or order < 2:
         raise ValueError(f"order must be an integer >= 2, got {order!r}")
@@ -214,7 +184,7 @@ def gaussian_weighted_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
 
 
 @lru_cache(maxsize=32)
-def _cached_gaussian_rule(order: int) -> QuadratureRule:
+def _cached_gaussian_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Build and validate each order once; the shared arrays are read-only.
 
     Callers validate ``order`` first: the cache compares keys by value, so
@@ -224,10 +194,14 @@ def _cached_gaussian_rule(order: int) -> QuadratureRule:
     nodes = xs * math.sqrt(2.0)
     weights = ws / math.sqrt(math.pi)
     keep = weights > 0.0
-    rule = QuadratureRule(nodes=nodes[keep], weights=weights[keep])
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    nodes, weights = nodes[keep], weights[keep]
+    if not np.all(np.diff(nodes) > 0):
+        raise ValueError("nodes must be strictly increasing")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError("gaussian-weighted rule must integrate 1 to 1")
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _evaluate(f, xs: np.ndarray) -> np.ndarray:

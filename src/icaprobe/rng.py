@@ -29,9 +29,13 @@ class ReproducibleStream:
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms strictly inside (0, 1), on the 2^53 midpoint lattice."""
+        """n uniforms strictly inside (0, 1): (k + 0.5) / 2^53, k uniform in
+        [0, 2^53).  The midpoint is exact only for k < 2^52 (above, k + 0.5
+        rounds to the even neighbour), so the top draw, which rounds to 1.0,
+        is mapped to the largest double below 1."""
         raw = self._gen.integers(0, _U53, size=n, dtype=np.uint64)
-        return (raw.astype(np.float64) + 0.5) / float(_U53)
+        u = (raw.astype(np.float64) + 0.5) / float(_U53)
+        return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal deviates via the inverse CDF."""

@@ -11,8 +11,6 @@ map V_keep diag(1/sqrt(lambda)) is used instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDataError
@@ -22,41 +20,16 @@ from .errors import DegenerateDataError
 RANK_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class WhitenedData:
-    """Whitened matrix with its transform and the removed mean."""
-
-    values: np.ndarray  # (n, p)
-    transform: np.ndarray  # (p~, p): centered raw -> whitened
-    center: np.ndarray  # (p~,)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        n = values.shape[0]
-        col_means = values.mean(axis=0)
-        if np.abs(col_means).max() > 1e-10:
-            raise ValueError("whitened columns must have zero mean")
-        cov = values.T @ values / (n - 1)
-        if np.abs(cov - np.eye(values.shape[1])).max() > 1e-8:
-            raise ValueError("whitened data must have unit sample covariance")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[1]
-
-
-def whiten(X) -> WhitenedData:
+def whiten(X) -> tuple[np.ndarray, np.ndarray]:
     """Center and whiten an n x p~ observation matrix, dropping
     rank-deficient directions.
 
-    Raises ``ValueError`` unless X is a finite 2-d matrix with n >= 2 and
-    p~ >= 1, and :class:`DegenerateDataError` when it has no variance at
-    all (all rows identical).
+    Returns ``(D, transform)``: the (n, p) whitened matrix and the (p~, p)
+    map from the centered input to it.  Raises ``ValueError`` unless X is
+    a finite 2-d matrix with n >= 2 and p~ >= 1, and
+    :class:`DegenerateDataError` when it has no variance at all (all rows
+    identical) or when its columns are so nearly collinear that D misses
+    unit sample covariance by more than 1e-8.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -66,8 +39,7 @@ def whiten(X) -> WhitenedData:
         raise ValueError(f"need n >= 2 and p >= 1, got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("values must be finite")
-    center = X.mean(axis=0)
-    Xc = X - center
+    Xc = X - X.mean(axis=0)
     cov = Xc.T @ Xc / (n - 1)
     lam, V = np.linalg.eigh(cov)
     lam_max = lam[-1]
@@ -85,5 +57,15 @@ def whiten(X) -> WhitenedData:
     else:
         Vk = V[:, keep]
         transform = Vk / np.sqrt(lam[keep])
-    return WhitenedData(values=Xc @ transform, transform=transform, center=center)
+    D = Xc @ transform
+    if np.abs(D.mean(axis=0)).max() > 1e-10:
+        raise ValueError("whitened columns must have zero mean")
+    cov_err = np.abs(D.T @ D / (n - 1) - np.eye(D.shape[1])).max()
+    if cov_err > 1e-8:
+        ratio = lam[keep].min() / lam_max
+        raise DegenerateDataError(
+            f"columns are nearly collinear: the smallest/largest covariance eigenvalue "
+            f"ratio {ratio:.3g} leaves a whitening error of {cov_err:.3g} (> 1e-8)"
+        )
+    return D, transform
 

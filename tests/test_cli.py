@@ -284,6 +284,19 @@ def test_non_finite_data_is_invalid_input(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+def test_nearly_collinear_data_is_invalid_input(tmp_path, capsys):
+    # columns x and x + 1e-5 N(0, 1): the error names the input, not the output
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal(2000)
+    data = tmp_path / "collinear.csv"
+    np.savetxt(data, np.column_stack([x, x + 1e-5 * gen.standard_normal(2000)]),
+               delimiter=",", header="x1,x2", comments="", fmt="%.17g")
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--data", data, "--out", out) == 2
+    assert "columns are nearly collinear" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m", [2, 2000])
 def test_sweep_rejects_m_outside_its_range(tmp_path, capsys, m):
     data = tmp_path / "points.csv"

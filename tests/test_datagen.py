@@ -1,12 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from icaprobe import datagen
 from icaprobe.datagen import (
     BAND_CHECK_FRAME,
     RNG_ALGORITHM,
-    BandSpec,
     GenConfig,
-    MixConfig,
     gen_banded_gaussian,
     gen_mixed_sources,
     rotation_2d,
@@ -16,7 +17,7 @@ from icaprobe.rng import ReproducibleStream
 
 
 def test_empty_bands_gives_plain_gaussian():
-    cfg = GenConfig(n=5000, bands=BandSpec(intervals=()), seed=3)
+    cfg = GenConfig(n=5000, bands=(), seed=3)
     data = gen_banded_gaussian(cfg)
     assert data.shape == (5000, 2)
     # first two moments match the standard Gaussian within 4/sqrt(n)
@@ -32,7 +33,7 @@ def test_default_bands_leave_no_points_inside():
     cfg = GenConfig(n=2000, seed=42)
     data = gen_banded_gaussian(cfg)
     assert data.shape == (2000, 2)
-    assert not cfg.bands.contains(data[:, 0]).any()
+    assert not datagen._in_band(data[:, 0], cfg.bands).any()
 
 
 def test_determinism_bitwise():
@@ -56,14 +57,14 @@ def test_round_budget_failure_reports_achieved():
 
 
 def test_band_spec_validation():
-    with pytest.raises(ValueError):
-        BandSpec(intervals=((0.5, 0.1),))
-    with pytest.raises(ValueError):
-        BandSpec(intervals=((0.0, 0.5), (0.4, 0.9)))
-    spec = BandSpec(intervals=((-1.0, -0.5), (0.5, 1.0)))
-    assert spec.total_width == pytest.approx(1.0)
-    mask = spec.contains(np.array([-0.7, 0.0, 0.7, 2.0]))
-    assert mask.tolist() == [True, False, True, False]
+    with pytest.raises(ValueError, match="needs lo < hi"):
+        GenConfig(bands=((0.5, 0.1),))
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        GenConfig(bands=((0.0, 0.5), (0.4, 0.9)))
+    cfg = GenConfig(bands=[(-1, -0.5), [0.5, 1]])
+    assert cfg.bands == ((-1.0, -0.5), (0.5, 1.0))
+    mask = datagen._in_band(np.array([-0.7, -0.5, 0.0, 0.7, 2.0]), cfg.bands)
+    assert mask.tolist() == [True, False, False, True, False]
 
 
 def test_gen_config_validation():
@@ -84,17 +85,28 @@ def test_normal_stream_is_pinned():
     assert got == ["0x1.d50dbe89fde84p-1", "-0x1.c2e8709160f64p-1", "0x1.1d8af555817f4p+0"]
 
 
+def test_top_uniform_draw_stays_below_one():
+    # (k + 0.5) / 2^53 is exact only for k < 2^52; k = 2^53 - 1 rounds to 1.0
+    stream = ReproducibleStream(0)
+    raw = np.array([0, 2**52, 2**52 + 1, 2**53 - 1], dtype=np.uint64)
+    stream._gen = SimpleNamespace(integers=lambda *args, **kwargs: raw.copy())
+    u = stream.uniforms(4)
+    # 2^52 + 0.5 and 2^52 + 1.5 round to the even 2^52 and 2^52 + 2
+    assert u.tolist() == [2.0**-54, 0.5, 0.5 + 2.0**-52, np.nextafter(1.0, 0.0)]
+    assert np.all((u > 0.0) & (u < 1.0))
+    z = stream.normals(4)
+    assert np.all(np.isfinite(z)) and z[-1] > 8.0
+
+
 def test_mixed_sources_identity_gaussian():
-    cfg = MixConfig(n=20000, kinds=("gaussian", "gaussian"), mixing=np.eye(2), seed=11)
-    data, mixing = gen_mixed_sources(cfg)
+    data, mixing = gen_mixed_sources(20000, ("gaussian", "gaussian"), np.eye(2), seed=11)
     assert np.array_equal(mixing, np.eye(2))
-    cov = data.T @ data / (cfg.n - 1)
+    cov = data.T @ data / (20000 - 1)
     assert np.abs(cov - np.eye(2)).max() < 0.05
 
 
 def test_mixed_sources_rotation_ground_truth():
-    cfg = MixConfig(n=4000, kinds=("uniform", "uniform"), mixing=rotation_2d(np.pi / 6), seed=12)
-    data, mixing = gen_mixed_sources(cfg)
+    data, mixing = gen_mixed_sources(4000, ("uniform", "uniform"), rotation_2d(np.pi / 6), seed=12)
     # unmixing recovers bounded support: rotate back, check range ~ sqrt(3)
     sources = data @ np.linalg.inv(mixing).T
     assert np.abs(sources).max() < np.sqrt(3.0) + 1e-9
@@ -102,15 +114,16 @@ def test_mixed_sources_rotation_ground_truth():
 
 
 def test_two_point_sources_binary():
-    cfg = MixConfig(n=1000, kinds=("two-point", "two-point"), mixing=np.eye(2), seed=13)
-    data, _ = gen_mixed_sources(cfg)
+    data, _ = gen_mixed_sources(1000, ("two-point", "two-point"), np.eye(2), seed=13)
     assert set(np.unique(data)) == {-1.0, 1.0}
 
 
 def test_mix_config_validation():
-    with pytest.raises(ValueError):
-        MixConfig(n=100, kinds=("uniform", "weird"), mixing=np.eye(2))
-    with pytest.raises(ValueError):
-        MixConfig(n=100, kinds=("uniform", "uniform"), mixing=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        MixConfig(n=100, kinds=("uniform",), mixing=np.eye(2))
+    for n, kinds, mixing, message in [
+        (1, ("uniform",), np.eye(1), "n must be >= 2"),
+        (100, ("uniform", "weird"), np.eye(2), "unknown source kind"),
+        (100, ("uniform", "uniform"), np.zeros((2, 2)), "nonsingular"),
+        (100, ("uniform",), np.eye(2), "one row per source"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            gen_mixed_sources(n, kinds, mixing)

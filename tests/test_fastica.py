@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icaprobe.contrast import fastica_contrast, logcosh
-from icaprobe.datagen import MixConfig, gen_mixed_sources, rotation_2d
+from icaprobe.datagen import gen_mixed_sources, rotation_2d
 from icaprobe import fastica
 from icaprobe.fastica import Loadings, amari_error, deflation, fixed_point_step
 from icaprobe.rng import ReproducibleStream
@@ -12,29 +12,26 @@ from icaprobe.whiten import whiten
 
 @pytest.fixture(scope="module")
 def uniform_pair():
-    cfg = MixConfig(
-        n=10_000, kinds=("uniform", "uniform"), mixing=rotation_2d(np.pi / 6), seed=31
-    )
-    raw, mixing = gen_mixed_sources(cfg)
-    return whiten(raw), mixing
+    raw, mixing = gen_mixed_sources(10_000, ("uniform", "uniform"), rotation_2d(np.pi / 6), seed=31)
+    return (*whiten(raw), mixing)
 
 
-def total_unmixing(loadings, data):
+def total_unmixing(loadings, transform):
     """Rows mapping raw coordinates to recovered sources."""
-    return loadings.W @ data.transform.T
+    return loadings.W @ transform.T
 
 
 def test_fixed_point_at_attractor(uniform_pair):
-    data, mixing = uniform_pair
+    data, transform, mixing = uniform_pair
     # the true unmixing direction is a fixed point attractor
-    w_true = data.transform.T @ np.linalg.inv(mixing)[0]
+    w_true = transform.T @ np.linalg.inv(mixing)[0]
     w_true = w_true / np.linalg.norm(w_true)
     w_next = fixed_point_step(w_true, data, logcosh())
     assert abs(float(w_next @ w_true)) > 1.0 - 1e-3
 
 
 def test_fixed_point_sign_equivariance(uniform_pair):
-    data, _ = uniform_pair
+    data, _, _ = uniform_pair
     w = np.array([0.6, 0.8])
     a = fixed_point_step(w, data, logcosh())
     b = fixed_point_step(-w, data, logcosh())
@@ -42,23 +39,23 @@ def test_fixed_point_sign_equivariance(uniform_pair):
 
 
 def test_deflation_recovers_rotated_uniforms(uniform_pair):
-    data, mixing = uniform_pair
+    data, transform, mixing = uniform_pair
     loadings = deflation(data, 2, logcosh(), 5)
     assert loadings.converged.all()
-    err = amari_error(total_unmixing(loadings, data), mixing)
+    err = amari_error(total_unmixing(loadings, transform), mixing)
     assert err < 0.05
 
 
 def test_deflation_on_gaussian_noise_has_tiny_contrast():
     raw = ReproducibleStream(77).normals(20_000).reshape(10_000, 2)
-    data = whiten(raw)
+    data, _ = whiten(raw)
     loadings = deflation(data, 1, logcosh(), 3)
-    y = data.values @ loadings.W[0]
+    y = data @ loadings.W[0]
     assert fastica_contrast(y, logcosh()) < 1e-3
 
 
 def test_deflation_rows_orthonormal_regardless(uniform_pair, monkeypatch):
-    data, _ = uniform_pair
+    data, _, _ = uniform_pair
     # absurdly tight tolerance forces non-convergence; rows stay orthonormal
     monkeypatch.setattr(fastica, "TOL", 1e-17)
     monkeypatch.setattr(fastica, "MAX_ITER", 3)
@@ -78,7 +75,7 @@ def test_deflation_rows_orthonormal_regardless(uniform_pair, monkeypatch):
 
 
 def test_deflation_deterministic(uniform_pair):
-    data, _ = uniform_pair
+    data, _, _ = uniform_pair
     a = deflation(data, 2, logcosh(), 11)
     b = deflation(data, 2, logcosh(), 11)
     assert np.array_equal(a.W, b.W)
@@ -86,7 +83,7 @@ def test_deflation_deterministic(uniform_pair):
 
 
 def test_config_validation(uniform_pair):
-    data, _ = uniform_pair
+    data, _, _ = uniform_pair
     with pytest.raises(ValueError, match="n_components must be >= 1"):
         deflation(data, 0, logcosh(), 0)
     with pytest.raises(ValueError):
@@ -98,7 +95,7 @@ def test_config_validation(uniform_pair):
 
 
 def test_too_many_components_rejected(uniform_pair):
-    data, _ = uniform_pair
+    data, _, _ = uniform_pair
     with pytest.raises(ValueError):
         deflation(data, 3, logcosh(), 0)
 

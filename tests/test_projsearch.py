@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from icaprobe.contrast import build_k, c_value, fastica_contrast, kurtosis_contrast, logcosh
-from icaprobe.datagen import GenConfig, MixConfig, gen_banded_gaussian, gen_mixed_sources, rotation_2d
+from icaprobe.datagen import GenConfig, gen_banded_gaussian, gen_mixed_sources, rotation_2d
 from icaprobe.entropy import ETA_1, mspacing_negentropy
 from icaprobe.errors import OptimizationError
 from icaprobe.maxent import _feasible_range, solve_f0
@@ -21,13 +21,14 @@ from icaprobe.whiten import whiten
 
 @pytest.fixture(scope="module")
 def gaussian_data():
-    return whiten(ReproducibleStream(55).normals(4000).reshape(2000, 2))
+    D, _ = whiten(ReproducibleStream(55).normals(4000).reshape(2000, 2))
+    return D
 
 
 @pytest.fixture(scope="module")
 def banded_data():
-    raw = gen_banded_gaussian(GenConfig(n=2000, seed=42))
-    return whiten(raw)
+    D, _ = whiten(gen_banded_gaussian(GenConfig(n=2000, seed=42)))
+    return D
 
 
 def test_sweep_shapes_and_grid(gaussian_data):
@@ -41,7 +42,7 @@ def test_sweep_shapes_and_grid(gaussian_data):
 
 
 def test_sweep_requires_2d():
-    data = whiten(ReproducibleStream(56).normals(900).reshape(300, 3))
+    data, _ = whiten(ReproducibleStream(56).normals(900).reshape(300, 3))
     with pytest.raises(UnsupportedDimensionError):
         sweep(data)
 
@@ -62,7 +63,7 @@ def test_sweep_matches_direct_evaluation(gaussian_data):
     res = sweep(gaussian_data, grid_size=16)
     k = build_k(logcosh())
     for i, theta in enumerate(res.thetas):
-        y = gaussian_data.values @ np.array([math.sin(theta), math.cos(theta)])
+        y = gaussian_data @ np.array([math.sin(theta), math.cos(theta)])
         assert res.values["j_mspacing"][i] == mspacing_negentropy(y)
         assert res.values["j_hat_star"][i] == fastica_contrast(y, logcosh())
         assert res.values["j_kurtosis"][i] == kurtosis_contrast(y)
@@ -72,7 +73,7 @@ def test_sweep_matches_direct_evaluation(gaussian_data):
 
 def test_sweep_evaluates_g_once_per_direction(gaussian_data):
     g = logcosh()
-    n = gaussian_data.values.shape[0]
+    n = gaussian_data.shape[0]
     sample_shapes = []
 
     def value(x):
@@ -144,12 +145,12 @@ def test_optimizer_rejects_an_all_nan_objective(gaussian_data):
 
 def test_optimizer_at_p1_evaluates_the_only_direction_once():
     # the unit sphere in one dimension is {e_1, -e_1}: one value decides
-    data = whiten(ReproducibleStream(7).normals(500).reshape(500, 1))
+    data, _ = whiten(ReproducibleStream(7).normals(500).reshape(500, 1))
     calls = []
 
     def objective(w):
         calls.append(w)
-        return mspacing_negentropy(data.values @ w)
+        return mspacing_negentropy(data @ w)
 
     assert optimize_direction(data, objective).tolist() == [1.0]
     assert len(calls) == 1
@@ -159,8 +160,8 @@ def test_optimizer_at_p1_evaluates_the_only_direction_once():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_optimizer_returns_a_unit_vector(p):
-    data = whiten(ReproducibleStream(60 + p).uniforms(600 * p).reshape(600, p))
-    w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
+    data, _ = whiten(ReproducibleStream(60 + p).uniforms(600 * p).reshape(600, p))
+    w = optimize_direction(data, lambda w: mspacing_negentropy(data @ w))
     assert isinstance(w, np.ndarray) and w.shape == (p,)
     assert abs(float(w @ w) - 1.0) <= 1e-12
 
@@ -169,7 +170,7 @@ def test_optimizer_at_p2_returns_the_angle_form(banded_data):
     # a best direction evaluated, as [sin theta, cos theta] bit for bit
     # with theta in [0, pi): the sweep's form of a direction
     for objective in (
-        lambda w: mspacing_negentropy(banded_data.values @ w),
+        lambda w: mspacing_negentropy(banded_data @ w),
         lambda w: float(w[0] + 2.0 * w[1]) ** 2,  # maximum at theta = 0.46
         lambda w: float(w[1] - 1e-3 * w[0]) ** 2,  # maximum at theta = -1e-3 = pi - 1e-3
     ):
@@ -194,7 +195,7 @@ def test_optimizer_evaluation_budget_at_p2(banded_data):
 
     def objective(w):
         calls.append(w)
-        return mspacing_negentropy(banded_data.values @ w)
+        return mspacing_negentropy(banded_data @ w)
 
     optimize_direction(banded_data, objective)
     assert len(calls) <= 180 + 40
@@ -204,7 +205,7 @@ def test_optimizer_matches_sweep_argmax(banded_data):
     res = sweep(banded_data, grid_size=720)
     theta_sweep, _ = res.argmax("j_hat_star")
     w = optimize_direction(
-        banded_data, lambda w: fastica_contrast(banded_data.values @ w, logcosh())
+        banded_data, lambda w: fastica_contrast(banded_data @ w, logcosh())
     )
     diff = abs(math.atan2(w[0], w[1]) % math.pi - theta_sweep)
     diff = min(diff, math.pi - diff)
@@ -212,13 +213,11 @@ def test_optimizer_matches_sweep_argmax(banded_data):
 
 
 def test_optimizer_recovers_source_axis():
-    raw, mixing = gen_mixed_sources(
-        MixConfig(n=8000, kinds=("uniform", "uniform"), mixing=rotation_2d(0.6), seed=13)
-    )
-    data = whiten(raw)
-    w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
+    raw, mixing = gen_mixed_sources(8000, ("uniform", "uniform"), rotation_2d(0.6), seed=13)
+    data, transform = whiten(raw)
+    w = optimize_direction(data, lambda w: mspacing_negentropy(data @ w))
     # map back to raw coordinates and compare against the source axes
-    w_raw = data.transform @ w
+    w_raw = transform @ w
     recovered = mixing.T @ w_raw
     recovered = np.abs(recovered) / np.linalg.norm(recovered)
     assert recovered.max() > math.cos(math.radians(3.0))
@@ -226,8 +225,8 @@ def test_optimizer_recovers_source_axis():
 
 def test_antipodal_contrast_invariance(banded_data):
     w = np.array([math.sin(0.77), math.cos(0.77)])
-    y_plus = banded_data.values @ w
-    y_minus = banded_data.values @ -w
+    y_plus = banded_data @ w
+    y_minus = banded_data @ -w
     assert kurtosis_contrast(y_plus) == pytest.approx(kurtosis_contrast(y_minus), rel=1e-12)
     assert fastica_contrast(y_plus, logcosh()) == pytest.approx(
         fastica_contrast(y_minus, logcosh()), rel=1e-12
@@ -256,7 +255,7 @@ def test_sweep_flags_solver_failures_as_gaps():
     stream = ReproducibleStream(93)
     base = stream.normals(1000).reshape(500, 2)
     base[:6, 0] = np.array([8.0, -8.0, 9.0, -9.0, 10.0, -10.0])
-    data = whiten(base)
+    data, _ = whiten(base)
     res = sweep(data, grid_size=16)
     assert res.f0_failed.any()
     assert np.isnan(res.values["j_f0"][res.f0_failed]).all()
@@ -271,13 +270,11 @@ def test_optimizer_three_dimensional_recovery(p):
     # m-spacing objective must find its unmixing axis
     mix = np.eye(p)
     mix[0, 1], mix[1, 2] = 0.3, -0.2
-    raw, mixing = gen_mixed_sources(
-        MixConfig(n=6000, kinds=("uniform",) + ("gaussian",) * (p - 1), mixing=mix, seed=19)
-    )
-    data = whiten(raw)
-    w = optimize_direction(data, lambda w: mspacing_negentropy(data.values @ w))
+    raw, mixing = gen_mixed_sources(6000, ("uniform",) + ("gaussian",) * (p - 1), mix, seed=19)
+    data, transform = whiten(raw)
+    w = optimize_direction(data, lambda w: mspacing_negentropy(data @ w))
     axis = np.linalg.inv(mixing)[0]
-    w_raw = data.transform @ w
+    w_raw = transform @ w
     cos = abs(axis @ w_raw) / (np.linalg.norm(axis) * np.linalg.norm(w_raw))
     assert cos > math.cos(math.radians(3.0))
 
@@ -309,7 +306,7 @@ def test_counterexample_robust_to_contrast_family(banded_data):
 def test_mspacing_optimizer_agrees_with_sweep_argmax(banded_data):
     res = sweep(banded_data, grid_size=360)
     theta_sweep, _ = res.argmax("j_mspacing")
-    w = optimize_direction(banded_data, lambda w: mspacing_negentropy(banded_data.values @ w))
+    w = optimize_direction(banded_data, lambda w: mspacing_negentropy(banded_data @ w))
     diff = abs(math.atan2(w[0], w[1]) % math.pi - theta_sweep)
     diff = min(diff, math.pi - diff)
     assert diff < math.radians(5.0)

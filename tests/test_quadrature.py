@@ -7,11 +7,7 @@ from hypothesis import given, strategies as st
 
 from icaprobe import quadrature
 from icaprobe.errors import AccuracyError
-from icaprobe.quadrature import (
-    QuadratureRule,
-    gaussian_weighted_rule,
-    integrate_interval,
-)
+from icaprobe.quadrature import gaussian_weighted_rule, integrate_interval
 
 
 def gaussian_moment(k: int) -> float:
@@ -24,19 +20,22 @@ def gaussian_moment(k: int) -> float:
     return float(acc)
 
 
+def expect(order, f) -> float:
+    """E[f(Z)] on the order-``order`` rule."""
+    x, w = gaussian_weighted_rule(order)
+    return float(w @ f(x))
+
+
 def test_normalization_order_50():
-    rule = gaussian_weighted_rule(50)
-    assert rule.apply(lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
+    assert expect(50, lambda x: np.ones_like(x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unit_variance_order_50():
-    rule = gaussian_weighted_rule(50)
-    assert rule.apply(lambda x: x**2) == pytest.approx(1.0, abs=1e-12)
+    assert expect(50, lambda x: x**2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fourth_moment_order_50():
-    rule = gaussian_weighted_rule(50)
-    assert rule.apply(lambda x: x**4) == pytest.approx(gaussian_moment(4), abs=1e-10)
+    assert expect(50, lambda x: x**4) == pytest.approx(gaussian_moment(4), abs=1e-10)
 
 
 @pytest.mark.parametrize("order", [8, 51, 200])
@@ -44,21 +43,20 @@ def test_monomials_exact_to_degree(order):
     # tolerance is relative to the absolute-moment scale sum w |x|^k, the
     # cancellation floor of any floating-point dot product (odd moments of
     # high degree cancel huge symmetric terms)
-    rule = gaussian_weighted_rule(order)
+    x, w = gaussian_weighted_rule(order)
     top = min(2 * order - 1, 30)
     for k in range(top + 1):
-        val = rule.apply(lambda x, k=k: x**k)
+        val = expect(order, lambda x, k=k: x**k)
         expected = gaussian_moment(k)
-        scale = float(rule.weights @ np.abs(rule.nodes) ** k)
+        scale = float(w @ np.abs(x) ** k)
         assert abs(val - expected) <= 1e-9 * max(1.0, scale), f"k={k}"
 
 
 def test_order_8_limit_of_exactness():
     # degree 15 is the last exact monomial at order 8; degree 16 is not
-    rule = gaussian_weighted_rule(8)
-    assert rule.apply(lambda x: x**15) == pytest.approx(0.0, abs=1e-9)
+    assert expect(8, lambda x: x**15) == pytest.approx(0.0, abs=1e-9)
     exact_16 = gaussian_moment(16)
-    assert abs(rule.apply(lambda x: x**16) - exact_16) > 1e-3 * exact_16
+    assert abs(expect(8, lambda x: x**16) - exact_16) > 1e-3 * exact_16
 
 
 def test_order_validation():
@@ -72,25 +70,33 @@ def test_rule_is_built_once_and_read_only():
     rule = gaussian_weighted_rule(200)
     assert gaussian_weighted_rule(200) is rule
     assert gaussian_weighted_rule(np.int64(200)) is rule
-    assert not rule.nodes.flags.writeable
-    assert not rule.weights.flags.writeable
+    nodes, weights = rule
+    assert not nodes.flags.writeable
+    assert not weights.flags.writeable
     # the cache must not turn a float order into a hit on the int entry
     with pytest.raises(ValueError):
         gaussian_weighted_rule(200.0)
 
 
-def test_rule_invariants_checked():
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([0.0, 0.0]), weights=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, -0.5]))
+def test_rule_invariants_checked(monkeypatch):
+    # the builder checks its own output; __wrapped__ bypasses the cache
+    build = quadrature._cached_gaussian_rule.__wrapped__
+    for xs, ws, message in [
+        ([0.0, 0.0], [0.5, 0.5], "strictly increasing"),
+        ([-1.0, 1.0], [0.5, 0.4], "integrate 1 to 1"),
+    ]:
+        scale = math.sqrt(math.pi)  # undone by the builder's rescaling
+        stub = (np.array(xs), scale * np.array(ws))
+        monkeypatch.setattr(quadrature, "_hermite_nodes_weights", lambda order, stub=stub: stub)
+        with pytest.raises(ValueError, match=message):
+            build(2)
 
 
 def test_high_order_drops_underflowed_tail_nodes():
-    rule = gaussian_weighted_rule(400)
-    assert len(rule.nodes) <= 400
-    assert np.all(rule.weights > 0)
-    assert rule.apply(lambda x: x**2) == pytest.approx(1.0, abs=1e-12)
+    nodes, weights = gaussian_weighted_rule(400)
+    assert len(nodes) <= 400
+    assert np.all(weights > 0)
+    assert expect(400, lambda x: x**2) == pytest.approx(1.0, abs=1e-12)
 
 
 def _scalar_pair(z, n):
@@ -159,9 +165,9 @@ def test_batched_build_equals_the_root_by_root_build(order):
     ],
 )
 def test_rule_bytes_are_pinned(order, size, digest):
-    rule = gaussian_weighted_rule(order)
-    assert rule.nodes.size == size
-    assert hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest() == digest
+    nodes, weights = gaussian_weighted_rule(order)
+    assert nodes.size == size
+    assert hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest() == digest
 
 
 def test_rule_build_stops_after_m_plus_one_sweeps(monkeypatch):
@@ -268,14 +274,13 @@ def test_refinement_never_worse_on_known_integral():
 def test_refining_order_never_worse():
     # against the analytic moment E Z^8 = 105, order 10 >= order 5 accuracy
     exact = gaussian_moment(8)
-    coarse = abs(gaussian_weighted_rule(5).apply(lambda x: x**8) - exact)
-    fine = abs(gaussian_weighted_rule(10).apply(lambda x: x**8) - exact)
+    coarse = abs(expect(5, lambda x: x**8) - exact)
+    fine = abs(expect(10, lambda x: x**8) - exact)
     assert fine <= coarse + 1e-12
 
 
 def test_gaussian_rule_agrees_with_interval_rule():
-    rule = gaussian_weighted_rule(200)
     phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     f = lambda x: np.log(np.cosh(x))
     by_interval = integrate_interval(lambda x: phi(x) * f(x), -12.0, 12.0, 1e-12)
-    assert rule.apply(f) == pytest.approx(by_interval, abs=1e-10)
+    assert expect(200, f) == pytest.approx(by_interval, abs=1e-10)
