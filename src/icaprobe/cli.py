@@ -172,6 +172,8 @@ def cmd_sweep(cfg, out, svg):
     m = None if cfg["m"] == "auto" else int(cfg["m"])
     result = sweep(data, grid_size=int(cfg["grid"]), g=g, m=m)
     failed = result.f0_failed.astype(int)
+    cfg["f0_failed"] = str(failed.sum())
+    cfg["f0_newton_iterations"] = str(result.f0_iterations.sum())
     rows = zip(result.thetas, *(result.values[name] for name in ALL_CONTRASTS), failed)
     _write_csv(out, ["theta", *ALL_CONTRASTS, "f0_failed"], rows)
 
@@ -280,13 +282,15 @@ def cmd_rates(cfg, out, svg):
         raise ValueError(f"--c-grid needs 4 or more values c > 0, got {cfg['c_grid']}")
     if not 0.0 < delta < 0.5:  # false for nan and inf too
         raise ValueError(f"--delta must be in (0, 1/2), got {cfg['delta']}")
+    solves = solve_f0(c_grid, k)
+    for d in solves:  # the first failure in grid order decides the exit
+        if isinstance(d, InfeasibleConstraintError):  # the c-grid is input, not a solver gap
+            raise ValueError(str(d)) from d
+        if isinstance(d, ConvergenceError):
+            raise d
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
     rows = []
-    for c in c_grid:
-        try:
-            d = solve_f0(c, k)
-        except InfeasibleConstraintError as err:  # the c-grid is input, not a solver gap
-            raise ValueError(str(err)) from err
+    for c, d in zip(c_grid, solves):
         lin = LinearizedDensity(c=c, k=k)
         h_remainder = abs(entropy_by_quadrature(lin) - hat_entropy(c))
         rows.append(
@@ -320,7 +324,9 @@ def cmd_rates(cfg, out, svg):
 
 
 #: keys a command adds to its manifest for the record; a replay skips them
-_RECORD_KEYS = {"rng", "band_check_frame", "resolved_direction"}
+_RECORD_KEYS = {
+    "rng", "band_check_frame", "resolved_direction", "f0_failed", "f0_newton_iterations",
+}
 
 
 def _command(name: str):

@@ -44,6 +44,16 @@ ladder on any rung.
 Each solve reports its Newton iterations, line-search halvings and the
 node count of the rule that produced it.
 
+:func:`solve_f0` takes one c or a 1-d array of them, and a scalar is a
+batch of one.  Each rung runs one Newton iteration over all rows still
+open, in (rows, nodes) arrays, and re-checks the rows it solved together.
+Every test of the ladder acts per row: the line search, the finishing
+step, the dual floor, the guard and the re-check; a row that fails a rung
+goes on to the next one in a smaller batch.  Each row's arithmetic is that
+of a batch of one, so an array call returns exactly the scalar calls'
+solves.  Rows go in blocks of at most :data:`_MAX_BATCH_ELEMENTS` // nodes
+(at least one), so memory stays bounded in the number of c.
+
 The optimal dual value is the surrogate's entropy (Cover & Thomas, ch. 12):
 H[f0] = log Z - lambda . E_f0[(x, x^2, K)], taken with the moments the
 returned lambda attains on the solve rule, so J[f0] needs no second
@@ -92,6 +102,13 @@ _DUAL_FLOOR = -40.0
 #: Constraint values farther than this past the proven range of E[K] are
 #: rejected before any Newton run; closer ones go to the ladder.
 _RANGE_MARGIN = 1e-4
+
+#: Largest rows x nodes of one batched Newton run or re-check; rows past
+#: it go in further blocks, so memory stays bounded however many c come.
+#: A Newton step holds about ten such arrays, so a block peaks near 1.3 MB
+#: (the sweep's 360 rows on the order-200 rule, 5 blocks); 2^20 peaked at
+#: 4.5 MB there and ran no faster.
+_MAX_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -150,10 +167,22 @@ class LinearizedDensity:
         return phi * (1.0 + self.c * self.k(x))
 
 
+def _row_dot(a, b):
+    """Row-wise a . b of a (rows, n) array with a (rows, n) or (n,) one, each
+    row summed as the 1-d ``a @ b`` sums it."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 def _dual_newton(c, k, x, w, gaussian_weighted, tol):
-    """Damped Newton on the dual; returns (lam, log_amp, entropy, residual,
+    """Damped Newton on the dual for every row of the 1-d array ``c`` at once.
+
+    Returns one entry per row: (lam, log_amp, entropy, residual,
     iterations, halvings), the last two counting Newton steps (damped and
-    finishing) and line-search halvings.
+    finishing) and line-search halvings, or the :class:`ConvergenceError`
+    that ended the row's run.  Every test below acts on its row alone, and
+    each row's arithmetic is that of a batch of one: the batched products
+    are stacked 1-d ones (:func:`_row_dot`, ``moments @ p[:, :, None]``, the
+    stacked Hessian and solve) and sums run along rows.
 
     The start is (kappa, zeta, a) = (0, -1/2, c) on the phi-weighted rule
     and (0, -1/2, min(c, 0)) on a grid, where a > 0 can make the start
@@ -166,84 +195,184 @@ def _dual_newton(c, k, x, w, gaussian_weighted, tol):
     moments = np.vstack([x, x * x, kx])
     shift = 0.5 if gaussian_weighted else 0.0
     log_const = _LOG_SQRT_2PI if gaussian_weighted else 0.0
-    c = float(c)
-    target = np.array([0.0, 1.0, c])
+    out = [None] * c.size
+    target = np.zeros((c.size, 3))
+    target[:, 1], target[:, 2] = 1.0, c
+    lam = np.zeros((c.size, 3))
     # a <= 0 keeps a grid start integrable, since K's growing tail is
     # nonnegative; the phi-weighted rule's finite nodes integrate any
-    # start, and a = 0 there would move which c that rung settles
-    lam = np.array([0.0, -0.5, c if gaussian_weighted else min(c, 0.0)])
-    iterations = halvings = 0
+    # start, and a = 0 there would move which c that rung settles.
+    # np.where keeps min(c, 0.0)'s choice at c = -0.0
+    lam[:, 1], lam[:, 2] = -0.5, c if gaussian_weighted else np.where(0.0 < c, 0.0, c)
 
-    def parts(lam):
-        expo = lam[0] * x + (lam[1] + shift) * x * x + lam[2] * kx
-        mx = expo.max()
-        if not np.isfinite(mx):
-            return None
-        wz = w * np.exp(expo - mx)
-        z = wz.sum()
-        if not (z > 0.0 and np.isfinite(z)):
-            return None
-        p = wz / z
-        return log_const + mx + math.log(z), moments @ p, p
+    def weights(lam):
+        """(ok, log_z, wz, z) for the rows of lam: ok marks the rows whose
+        dual objective is finite, and the rest hold those rows only, with
+        wz the unnormalized weights and z their sum."""
+        # lam0 x + (lam1 + shift) x x + lam2 K, summed in that order; the
+        # in-place steps keep to one (rows, nodes) buffer, as numpy's
+        # temporary elision does for a single row
+        wz = (lam[:, 1:2] + shift) * x
+        wz *= x
+        wz += lam[:, :1] * x
+        wz += lam[:, 2:] * kx
+        mx = np.maximum.reduce(wz, axis=1)  # nan if any node is
+        ok = np.isfinite(mx)
+        if np.count_nonzero(ok) < ok.size:
+            wz, mx = wz[ok], mx[ok]
+        wz -= mx[:, None]
+        np.exp(wz, out=wz)
+        wz *= w
+        # finite and positive: the weights are, and the largest term is w e^0
+        z = np.add.reduce(wz, axis=1)
+        log_z = np.array([log_const + m + math.log(s) for m, s in zip(mx, z)])
+        return ok, log_z, wz, z
 
-    state = parts(lam)
-    if state is None:
-        raise ConvergenceError("dual objective not finite at the initial point")
-    log_z, expect, p = state
-    psi = log_z - lam @ target
+    def moments_of(wz, z):
+        """(p, expect): the weights normalized in place, and E_p[(x, x^2, K)]."""
+        wz /= z[:, None]
+        return wz, (moments @ wz[:, :, None])[:, :, 0]
+
+    ok, log_z, wz, z = weights(lam)
+    for i in (~ok).nonzero()[0]:
+        out[i] = ConvergenceError("dual objective not finite at the initial point")
+    rows = ok.nonzero()[0]
+    if rows.size < c.size:
+        lam, target = lam[ok], target[ok]
+    p, expect = moments_of(wz, z)
+    psi = log_z - _row_dot(lam, target)
     grad = expect - target
-    for _ in range(MAX_ITER):
-        gnorm = float(np.abs(grad).max())
-        if gnorm <= tol:
-            return lam, -log_z, log_z - lam @ expect, gnorm, iterations, halvings
-        iterations += 1
-        centered = moments - expect[:, None]
-        hess = (centered * p) @ centered.T
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        if grad @ step >= 0.0:  # not a descent direction; fall back
-            step = -grad
-        if gnorm < 1e-6:
-            # quadratic-convergence finish: undamped while the gradient shrinks
-            state = parts(lam + step)
-            if state is None:
-                raise ConvergenceError("finishing step left the feasible region", gnorm)
-            log_z2, expect2, p2 = state
-            if float(np.abs(expect2 - target).max()) >= gnorm:
-                raise ConvergenceError(
-                    f"gradient floor {gnorm:.2e} above tol {tol:g}", gnorm
-                )
-            lam, log_z, expect, p = lam + step, log_z2, expect2, p2
-            psi = log_z - lam @ target
+    halvings = np.zeros(rows.size, dtype=int)
+    closed = np.zeros(rows.size, dtype=bool)
+
+    def close(j, result):
+        out[rows[j]] = result
+        closed[j] = True
+
+    def commit(took, lam2, log_z2, p2, expect2, psi2):
+        """Move the ascending rows ``took`` to the new state given for them."""
+        nonlocal lam, log_z, p, expect, psi, grad
+        if took.size == rows.size:  # every row: take the new arrays whole
+            lam, log_z, p, expect, psi = lam2, log_z2, p2, expect2, psi2
             grad = expect - target
-            continue
-        scale = 1.0
-        slope = grad @ step
-        for _ in range(80):
-            state = parts(lam + scale * step)
-            if state is not None:
-                log_z2, expect2, p2 = state
-                psi2 = log_z2 - (lam + scale * step) @ target
-                if psi2 <= psi + 1e-4 * scale * slope:
-                    break
-            scale *= 0.5
-            halvings += 1
         else:
-            raise ConvergenceError(f"line search stalled at residual {gnorm:.2e}", gnorm)
-        lam = lam + scale * step
-        log_z, expect, p, psi = log_z2, expect2, p2, psi2
-        grad = expect - target
-        if psi < _DUAL_FLOOR:
-            raise ConvergenceError(
-                f"dual objective fell below {_DUAL_FLOOR}; constraint value "
-                f"{c:.6g} is outside the feasible moment range"
+            lam[took], log_z[took], psi[took] = lam2, log_z2, psi2
+            p[took], expect[took] = p2, expect2
+            grad[took] = expect2 - target[took]
+
+    for iterations in range(MAX_ITER):  # every open row has taken this many steps
+        gnorm = np.maximum.reduce(np.abs(grad), axis=1)
+        done = gnorm <= tol
+        if np.count_nonzero(done):
+            entropy = log_z - _row_dot(lam, expect)
+            for j in (done & ~closed).nonzero()[0]:
+                close(j, (lam[j], -log_z[j], entropy[j], float(gnorm[j]),
+                          iterations, int(halvings[j])))
+        n_closed = np.count_nonzero(closed)
+        if n_closed == rows.size:
+            return out
+        if n_closed:
+            keep = ~closed
+            rows, lam, target, log_z, p, expect, psi, grad, gnorm, halvings = (
+                v[keep] for v in (rows, lam, target, log_z, p, expect, psi, grad, gnorm, halvings)
             )
-    raise ConvergenceError(
-        f"no convergence in {MAX_ITER} iterations (residual {float(np.abs(grad).max()):.2e})",
-        float(np.abs(grad).max()),
-    )
+            closed = closed[keep]
+        centered = moments - expect[:, :, None]
+        hess = (centered * p[:, None, :]) @ centered.transpose(0, 2, 1)
+        try:
+            step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular row: solve row by row
+            step = np.empty_like(grad)
+            for j in range(rows.size):
+                try:
+                    step[j] = np.linalg.solve(hess[j], -grad[j])
+                except np.linalg.LinAlgError:
+                    step[j] = -grad[j]
+        slope = _row_dot(grad, step)
+        uphill = slope >= 0.0
+        if np.count_nonzero(uphill):  # not a descent direction; fall back
+            step = np.where(uphill[:, None], -grad, step)
+            slope = _row_dot(grad, step)
+
+        # quadratic-convergence finish: undamped while the gradient shrinks
+        finish = gnorm < 1e-6
+        finishing = np.count_nonzero(finish)
+        if finishing:
+            rise = finish.nonzero()[0]
+            trial = lam[rise] + step[rise]
+            ok, log_z2, wz, z = weights(trial)
+            for j in rise[~ok]:
+                close(j, ConvergenceError(
+                    "finishing step left the feasible region", float(gnorm[j])
+                ))
+            rise, trial = rise[ok], trial[ok]
+            p2, expect2 = moments_of(wz, z)
+            stuck = np.maximum.reduce(np.abs(expect2 - target[rise]), axis=1) >= gnorm[rise]
+            for j in rise[stuck]:
+                close(j, ConvergenceError(
+                    f"gradient floor {gnorm[j]:.2e} above tol {tol:g}", float(gnorm[j])
+                ))
+            if np.count_nonzero(stuck):
+                moved = ~stuck
+                rise, trial, log_z2, p2, expect2 = (
+                    v[moved] for v in (rise, trial, log_z2, p2, expect2)
+                )
+            commit(rise, trial, log_z2, p2, expect2, log_z2 - _row_dot(trial, target[rise]))
+
+        search = (~finish).nonzero()[0]
+        # the searching rows' copies; with no finishing row they are the
+        # arrays themselves, whose rows a commit writes only as it drops them
+        lam_s, step_s, target_s, psi_s, slope_s = lam, step, target, psi, slope
+        if finishing and search.size:
+            lam_s, step_s, target_s, psi_s, slope_s = (
+                v[search] for v in (lam, step, target, psi, slope)
+            )
+        scale = 1.0  # every searching row halves together
+        for halved in range(80):
+            if not search.size:
+                break
+            trial = lam_s + scale * step_s
+            ok, log_z2, wz, z = weights(trial)
+            if np.count_nonzero(ok) == ok.size:
+                psi2 = log_z2 - _row_dot(trial, target_s)
+            else:
+                psi2 = np.full(search.size, math.nan)  # nan fails the test below
+                psi2[ok] = log_z2 - _row_dot(trial[ok], target_s[ok])
+            accept = psi2 <= psi_s + 1e-4 * scale * slope_s
+            moves = np.count_nonzero(accept)
+            if moves == search.size:
+                commit(search, trial, log_z2, *moments_of(wz, z), psi2)
+                took = search
+            elif moves:
+                kept = accept[ok]
+                took = search[accept]
+                commit(took, trial[accept], log_z2[kept], *moments_of(wz[kept], z[kept]),
+                       psi2[accept])
+            if moves:
+                if halved:
+                    halvings[took] += halved
+                for j in took[psi[took] < _DUAL_FLOOR]:
+                    close(j, ConvergenceError(
+                        f"dual objective fell below {_DUAL_FLOOR}; constraint value "
+                        f"{float(c[rows[j]]):.6g} is outside the feasible moment range"
+                    ))
+                if moves == search.size:
+                    break
+                search, lam_s, step_s, target_s, psi_s, slope_s = (
+                    v[~accept] for v in (search, lam_s, step_s, target_s, psi_s, slope_s)
+                )
+            scale *= 0.5
+        else:
+            for j in search:
+                close(j, ConvergenceError(
+                    f"line search stalled at residual {gnorm[j]:.2e}", float(gnorm[j])
+                ))
+    for j in (~closed).nonzero()[0]:
+        residual = float(np.abs(grad[j]).max())
+        out[rows[j]] = ConvergenceError(
+            f"no convergence in {MAX_ITER} iterations (residual {residual:.2e})", residual
+        )
+    return out
 
 
 def _interval_points(ngrid: int):
@@ -256,7 +385,9 @@ def _interval_points(ngrid: int):
     return x, w * (h / 3.0)
 
 
-def _check_guard(k: KFunction, zeta: float, a: float):
+def _guard_error(k: KFunction, zeta: float, a: float):
+    """The ConvergenceError of a solve whose exponent is not dominated by a
+    negative quadratic, or None when the integrability guard holds."""
     if k.tail_degree == 2:
         eff = zeta + a * k.tail_coeff
     else:
@@ -264,33 +395,56 @@ def _check_guard(k: KFunction, zeta: float, a: float):
         # quadratic level checked at a = 0
         eff = a * k.tail_coeff if a != 0.0 else zeta
     if eff > INTEGRABILITY_MARGIN:
-        raise ConvergenceError(
+        return ConvergenceError(
             f"integrability guard violated: effective leading coefficient {eff:.3e}"
         )
+    return None
 
 
-def _moment_residual(d, x, w, gaussian_weighted, c):
-    """Recompute the four constraint integrals on an independent rule.
+def _blocks(rows, nodes):
+    """``rows`` cut into blocks of at most _MAX_BATCH_ELEMENTS // nodes, and
+    at least one, so that a block's arrays stay bounded on any rule."""
+    size = max(1, _MAX_BATCH_ELEMENTS // nodes)
+    return [rows[i:i + size] for i in range(0, len(rows), size)]
+
+
+def _moment_residual(ds, x, w, gaussian_weighted):
+    """Recompute the four constraint integrals of each solve in ``ds`` (one
+    K) on an independent rule; returns each solve's largest error.
 
     A solution whose values overflow on this rule cannot re-integrate, so
     its residual is infinite.
     """
+    kx = ds[0].k(x)
+    params = np.array([[d.log_amp, d.kappa, d.zeta, d.a] for d in ds])
+    log_amp, kappa, zeta, a = params.T[:, :, None]
+    # the log density, summed in log_pdf's order (or kappa x + (zeta +
+    # 1/2) x x + a K, then the constants, on the phi-weighted rule) with
+    # one (rows, nodes) buffer
+    if gaussian_weighted:
+        vals = (zeta + 0.5) * x
+        vals *= x
+        vals += kappa * x
+        vals += a * kx
+        vals += log_amp + _LOG_SQRT_2PI
+    else:
+        vals = zeta * x
+        vals *= x
+        vals += log_amp + kappa * x
+        vals += a * kx
     with np.errstate(over="ignore"):
-        if gaussian_weighted:
-            expo = d.kappa * x + (d.zeta + 0.5) * x * x + d.a * d.k(x)
-            vals = w * np.exp(d.log_amp + _LOG_SQRT_2PI + expo)
-        else:
-            vals = w * np.exp(d.log_pdf(x))
-    if not np.isfinite(vals).all():
-        return math.inf
-    return float(
-        max(
-            abs(vals.sum() - 1.0),
-            abs(vals @ x),
-            abs(vals @ (x * x) - 1.0),
-            abs(vals @ d.k(x) - c),
-        )
-    )
+        np.exp(vals, out=vals)
+    vals *= w
+    finite = np.isfinite(vals).all(axis=1)
+    if np.count_nonzero(finite) < finite.size:
+        vals = vals[finite]
+    sums = zip(vals.sum(axis=1), _row_dot(vals, x), _row_dot(vals, x * x), _row_dot(vals, kx))
+    residual = np.full(len(ds), math.inf)
+    residual[finite] = [
+        max(abs(s0 - 1.0), abs(s1), abs(s2 - 1.0), abs(sk - d.c))
+        for (s0, s1, s2, sk), d in zip(sums, [d for d, f in zip(ds, finite) if f])
+    ]
+    return residual
 
 
 def _ladder():
@@ -308,41 +462,72 @@ def _ladder():
         yield (*_interval_points(ngrid), False, finer)
 
 
-def _solve(c: float, k: KFunction, tol: float, rungs) -> SurrogateDensity:
-    """One Newton run per rung until a solve re-integrates within 10 tol.
+def _single(results):
+    """The one entry of a scalar call, returned, or raised if it is an error.
 
-    A rung whose Newton run fails hands over to the next one: a grid proves
-    infeasibility only for itself, and finer grids reach further toward the
-    moment boundary.  An integrability guard violation ends the ladder on
-    every rung.  :func:`solve_f0` sends only c within :data:`_RANGE_MARGIN`
-    (1e-4) of the proven range (c_lo, c_hi) of :func:`_feasible_range`
-    here; the ladder's own frontier agrees with that range to 1e-5 on
-    every side measured.
+    The error is popped, not held in a local: a frame that holds it would
+    sit in its own traceback, a cycle that keeps the frames' rules alive.
     """
-    last_err = None
-    try:
-        for x, w, weighted, recheck in rungs:
-            try:
-                lam, log_amp, entropy, residual, iterations, halvings = _dual_newton(
-                    c, k, x, w, weighted, tol
-                )
-            except ConvergenceError as err:
-                last_err = err
-                continue
-            _check_guard(k, lam[1], lam[2])
-            d = SurrogateDensity(
-                log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k, c=c,
-                residual=residual, entropy=entropy,
-                iterations=iterations, halvings=halvings, rule_size=x.size,
-            )
-            if recheck is None or _moment_residual(d, *recheck(), weighted, c) <= 10.0 * tol:
-                return d
-            last_err = ConvergenceError("solution does not re-integrate consistently")
-        raise last_err
-    finally:
-        # the error's traceback holds this frame, and with it every rule
-        # tried; drop the reference so the cycle does not outlive the call
-        del last_err
+    if isinstance(results[0], ConvergenceError):
+        raise results.pop()
+    return results[0]
+
+
+def _solve(c, k: KFunction, tol: float, rungs):
+    """One Newton run per rung for each c until its solve re-integrates
+    within 10 tol; a scalar c returns the solve or raises, a 1-d c returns
+    one entry per row, the solve or its ConvergenceError.
+
+    Each rung runs :func:`_dual_newton` on the rows still open, and
+    re-checks the rows it solved, both in blocks of :func:`_blocks`.  A
+    row whose Newton run or re-check fails goes on to the next rung: a
+    grid proves infeasibility only for itself, and finer grids reach
+    further toward the moment boundary.  An integrability guard violation
+    ends that row's ladder on every rung.  :func:`solve_f0` sends only c
+    within :data:`_RANGE_MARGIN` (1e-4) of the proven range (c_lo, c_hi)
+    of :func:`_feasible_range` here; the ladder's own frontier agrees with
+    that range to 1e-5 on every side measured.
+    """
+    cs = np.asarray(c, dtype=float)
+    rows = cs.reshape(-1)
+    out = [None] * rows.size
+    last_err = [None] * rows.size
+    todo = np.arange(rows.size)
+    for x, w, weighted, recheck in rungs:
+        solved = []
+        for block in _blocks(todo, x.size):
+            for i, res in zip(block, _dual_newton(rows[block], k, x, w, weighted, tol)):
+                if isinstance(res, ConvergenceError):
+                    last_err[i] = res
+                    continue
+                lam, log_amp, entropy, residual, iterations, halvings = res
+                out[i] = _guard_error(k, lam[1], lam[2])
+                if out[i] is None:
+                    solved.append((i, SurrogateDensity(
+                        log_amp=log_amp, kappa=lam[0], zeta=lam[1], a=lam[2], k=k,
+                        c=float(rows[i]), residual=residual, entropy=entropy,
+                        iterations=iterations, halvings=halvings, rule_size=x.size,
+                    )))
+        if recheck is None:
+            for i, d in solved:
+                out[i] = d
+        elif solved:
+            xr, wr = recheck()
+            for block in _blocks(solved, xr.size):
+                residuals = _moment_residual([d for _, d in block], xr, wr, weighted)
+                for (i, d), r in zip(block, residuals):
+                    if r <= 10.0 * tol:
+                        out[i] = d
+                    else:
+                        last_err[i] = ConvergenceError(
+                            "solution does not re-integrate consistently"
+                        )
+        todo = todo[[out[i] is None for i in todo]]
+        if not todo.size:
+            break
+    for i in todo:
+        out[i] = last_err[i]
+    return out if cs.ndim else _single(out)
 
 
 def _lower_end(k: KFunction) -> float:
@@ -424,28 +609,41 @@ def _feasible_range(k: KFunction) -> tuple[float, float]:
     return _lower_end(k), _upper_end(k)
 
 
-def solve_f0(c: float, k: KFunction, tol: float = 1e-10) -> SurrogateDensity:
-    """Solve for the surrogate density at constraint value c.
+def solve_f0(c, k: KFunction, tol: float = 1e-10):
+    """Solve for the surrogate density at constraint value c, or at each c
+    of a 1-d array.
 
-    A non-finite c raises ValueError, and c farther than 1e-4 past the
-    proven range of E[K] raises :class:`InfeasibleConstraintError`, both
-    before any Newton run.  Then the ladder of the module docstring runs:
+    A scalar c returns its :class:`SurrogateDensity` or raises; a 1-d c
+    returns a list with one entry per c, the solve or the
+    :class:`ConvergenceError` the scalar call would raise.  A non-finite c
+    anywhere, or c with more than one dimension, raises ValueError before
+    any Newton run.  A c farther than 1e-4 past the proven range of E[K]
+    gets :class:`InfeasibleConstraintError`, also before any Newton run.
+    Then the ladder of the module docstring runs on the rest together:
     the Gauss-Hermite rung, then Simpson grids on the density support,
     which resolve the narrow spikes f0 develops near the moment boundary.
     A failure on the finest grid, or an integrability guard violation on
-    any rung, raises :class:`ConvergenceError`.
+    any rung, gives :class:`ConvergenceError`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    c = float(c)
-    if not math.isfinite(c):
+    cs = np.asarray(c, dtype=float)
+    if cs.ndim > 1:
+        raise ValueError(f"c must be a scalar or a 1-d array, got shape {cs.shape}")
+    if not np.isfinite(cs).all():
         raise ValueError("c must be finite")
     c_lo, c_hi = _feasible_range(k)
-    if c < c_lo - _RANGE_MARGIN:
-        raise InfeasibleConstraintError(c, c_lo, "lower", _RANGE_MARGIN)
-    if c > c_hi + _RANGE_MARGIN:
-        raise InfeasibleConstraintError(c, c_hi, "upper", _RANGE_MARGIN)
-    return _solve(c, k, tol, _ladder())
+    out = [
+        InfeasibleConstraintError(v, c_lo, "lower", _RANGE_MARGIN) if v < c_lo - _RANGE_MARGIN
+        else InfeasibleConstraintError(v, c_hi, "upper", _RANGE_MARGIN) if v > c_hi + _RANGE_MARGIN
+        else None
+        for v in map(float, cs.reshape(-1))
+    ]
+    inside = [i for i, r in enumerate(out) if r is None]
+    if inside:
+        for i, r in zip(inside, _solve(cs.reshape(-1)[inside], k, tol, _ladder())):
+            out[i] = r
+    return out if cs.ndim else _single(out)
 
 
 def entropy_by_quadrature(pdf, tol: float = 1e-10) -> float:

@@ -50,6 +50,8 @@ class SweepResult:
     thetas: np.ndarray
     values: dict  # name -> array aligned with thetas
     f0_failed: np.ndarray  # bool mask where solve_f0 did not converge
+    f0_iterations: np.ndarray  # Newton steps of each J[f0] solve, 0 where it failed
+    f0_rule_size: np.ndarray  # nodes of the rule that settled it, 0 where it failed
 
     def argmax(self, name: str) -> tuple[float, float]:
         """(theta*, value) of the named contrast, skipping failed entries."""
@@ -71,12 +73,13 @@ def sweep(
     Every direction gets all of :data:`ALL_CONTRASTS`, with K built from
     ``g`` (logcosh by default) and one spacing for every m-spacing
     estimate, resolved from ``m`` by :func:`~icaprobe.entropy.resolve_m`
-    before the first direction.  J[f0] entries where the surrogate solver
-    fails are NaN with the failure flag set; they are reported, never
-    fabricated.  G is evaluated once per direction and feeds both the
-    fastICA contrast and c = mean K(y), with the arithmetic of
-    :func:`~icaprobe.contrast.fastica_contrast` and
-    :func:`~icaprobe.contrast.c_value`.
+    before the first direction.  G is evaluated once per direction and
+    feeds both the fastICA contrast and c = mean K(y), with the arithmetic
+    of :func:`~icaprobe.contrast.fastica_contrast` and
+    :func:`~icaprobe.contrast.c_value`.  The c of all directions go to one
+    :func:`~icaprobe.maxent.solve_f0` call.  J[f0] entries where the
+    surrogate solver fails are NaN with the failure flag set; they are
+    reported, never fabricated.
     """
     n, p = D.shape
     if p != 2:
@@ -90,20 +93,28 @@ def sweep(
     g_gauss = gaussian_expectation(g)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
     values = {name: np.empty(grid_size) for name in ALL_CONTRASTS}
-    f0_failed = np.zeros(grid_size, dtype=bool)
+    cs = np.empty(grid_size)
     for i, theta in enumerate(thetas):
         y = D @ np.array([math.sin(theta), math.cos(theta)])
         values["j_mspacing"][i] = mspacing_negentropy(y, m)  # rejects non-finite y
         gv = g.value(y)
         values["j_hat_star"][i] = (np.mean(gv) - g_gauss) ** 2
         values["j_kurtosis"][i] = kurtosis_contrast(y)
-        c = float(np.mean(k.from_g_values(y, gv)))
-        try:
-            values["j_f0"][i] = ETA_1 - solve_f0(c, k).entropy
-        except ConvergenceError:
+        cs[i] = np.mean(k.from_g_values(y, gv))
+    f0_failed = np.zeros(grid_size, dtype=bool)
+    f0_iterations = np.zeros(grid_size, dtype=int)
+    f0_rule_size = np.zeros(grid_size, dtype=int)
+    for i, d in enumerate(solve_f0(cs, k)):
+        if isinstance(d, ConvergenceError):
             values["j_f0"][i] = math.nan
             f0_failed[i] = True
-    return SweepResult(thetas=thetas, values=values, f0_failed=f0_failed)
+        else:
+            values["j_f0"][i] = ETA_1 - d.entropy
+            f0_iterations[i], f0_rule_size[i] = d.iterations, d.rule_size
+    return SweepResult(
+        thetas=thetas, values=values, f0_failed=f0_failed,
+        f0_iterations=f0_iterations, f0_rule_size=f0_rule_size,
+    )
 
 
 def _complement(w: np.ndarray) -> np.ndarray:

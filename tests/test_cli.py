@@ -464,3 +464,104 @@ def test_cli_import_loads_no_scipy_until_a_stream_samples():
         check=True,
     ).stdout.splitlines()
     assert out == ["[]", "True"]
+
+
+def test_sweep_manifest_records_solver_work(tmp_path, data_csv):
+    # deterministic totals over the sweep's J[f0] solves, kept out of the CSV
+    from icaprobe.projsearch import sweep
+    from icaprobe.whiten import whiten
+
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--data", data_csv, "--grid", 16, "--out", out) == 0
+    cfg = read_config(out.with_suffix(".csv.manifest"))
+    result = sweep(whiten(np.loadtxt(data_csv, delimiter=",", skiprows=1))[0], grid_size=16)
+    assert cfg["f0_failed"] == str(result.f0_failed.sum()) == "0"
+    assert cfg["f0_newton_iterations"] == str(result.f0_iterations.sum())
+    assert int(cfg["f0_newton_iterations"]) >= 16
+    header = out.read_text().splitlines()[0]
+    assert header == "theta,j_mspacing,j_f0,j_hat_star,j_kurtosis,f0_failed"
+
+
+@pytest.mark.parametrize(
+    "order, code, message",
+    [
+        (("ok", "diverged", "infeasible"), 3, "numerical failure: diverged\n"),
+        (("ok", "infeasible", "diverged"), 2, "error: constraint value 0.4 lies past the upper"),
+    ],
+)
+def test_rates_raises_the_first_failure_in_grid_order(
+    tmp_path, monkeypatch, capsys, order, code, message
+):
+    # one solve_f0 call takes the whole grid; the first failed entry decides
+    # the exit: an infeasible c is bad input (2), any other failure is 3
+    import icaprobe.cli as cli
+    from icaprobe.errors import ConvergenceError, InfeasibleConstraintError
+
+    entries = {
+        "ok": object(),
+        "diverged": ConvergenceError("diverged"),
+        "infeasible": InfeasibleConstraintError(0.4, 0.213932, "upper", 1e-4),
+    }
+    calls = []
+
+    def solves(c, k):
+        calls.append(list(c))
+        return [entries[name] for name in order] + [entries["ok"]]
+
+    monkeypatch.setattr(cli, "solve_f0", solves)
+    assert run("rates", "--c-grid", "0.1,0.2,0.4,0.05", "--out", tmp_path / "r.csv") == code
+    assert capsys.readouterr().err.startswith(message)
+    assert calls == [[0.1, 0.2, 0.4, 0.05]]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def three_column_csv(tmp_path_factory):
+    from icaprobe.datagen import gen_mixed_sources
+
+    mixing = np.array([[1.0, 0.3, 0.1], [0.2, 1.0, -0.2], [0.1, 0.4, 1.0]])
+    raw, _ = gen_mixed_sources(600, ("uniform", "uniform", "gaussian"), mixing, seed=5)
+    path = tmp_path_factory.mktemp("three") / "three.csv"
+    np.savetxt(path, raw, fmt="%.17g", delimiter=",", header="x1,x2,x3", comments="")
+    return path
+
+
+#: one run of every command, with settings away from the defaults; "{2}"
+#: and "{3}" stand for 2- and 3-column data
+_REPLAYS = {
+    "generate": ("generate", "--n", 300, "--seed", 7, "--bands", "0.2:0.6,1:1.5"),
+    "sweep": ("sweep", "--data", "{2}", "--grid", 12, "--g", "negexp", "--m", 20),
+    "densities angle": ("densities", "--data", "{2}", "--direction", "0.5", "--alpha", 1.5),
+    "densities mspacing-opt": ("densities", "--data", "{2}", "--direction", "mspacing-opt"),
+    "densities fastica-opt": (
+        "densities", "--data", "{2}", "--direction", "fastica-opt", "--seed", 3
+    ),
+    "ica fastica p=2": (
+        "ica", "--data", "{2}", "--method", "fastica", "--components", 2, "--seed", 1
+    ),
+    "ica mspacing p=2": ("ica", "--data", "{2}", "--method", "mspacing", "--components", 2),
+    "ica fastica p=3": ("ica", "--data", "{3}", "--method", "fastica", "--components", 3),
+    "ica mspacing p=3": ("ica", "--data", "{3}", "--method", "mspacing", "--components", 3),
+    "rates": ("rates", "--g", "negexp", "--c-grid", "0.1,0.05,0.03,0.02", "--delta", 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPLAYS))
+def test_every_command_replays_from_its_manifest(tmp_path, data_csv, three_column_csv, name):
+    # the manifest fed back through --config rewrites every output byte for
+    # byte, the manifest itself included; record keys are skipped on the way in
+    argv = [{"{2}": data_csv, "{3}": three_column_csv}.get(a, a) for a in _REPLAYS[name]]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+
+    def run_in(d, *args):
+        d.mkdir()
+        figure = () if argv[0] == "ica" else ("--svg", d / "out.svg")
+        return run(*args, "--out", d / "out.csv", *figure)
+
+    assert run_in(first, *argv) == 0
+    assert run_in(replay, argv[0], "--config", first / "out.csv.manifest") == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in replay.iterdir())
+    assert len(names) >= 2
+    for f in names:
+        assert (first / f).read_bytes() == (replay / f).read_bytes(), f

@@ -580,3 +580,98 @@ def test_surrogate_is_lower_bound_for_leptokurtic_grid_density(k_logcosh):
     j_f0 = ETA_1 - entropy_by_quadrature(solve_f0(c, k_logcosh))
     assert j_true > 0.01  # clearly non-Gaussian
     assert j_f0 <= j_true + 1e-9
+
+
+def _sweep_c_values():
+    # the c of every direction of the 360-direction sweep on the seed-42,
+    # n = 2000 banded points, as projsearch.sweep computes them
+    from icaprobe.contrast import c_value
+    from icaprobe.datagen import GenConfig, gen_banded_gaussian
+    from icaprobe.whiten import whiten
+
+    D, _ = whiten(gen_banded_gaussian(GenConfig(n=2000, seed=42)))
+    k = _K["logcosh(1)"]
+    thetas = np.arange(360) * (math.pi / 360)
+    return k, np.array([c_value(D @ np.array([math.sin(t), math.cos(t)]), k) for t in thetas])
+
+
+_SCAN = np.round(np.arange(-20, 21) * 0.05, 2)
+
+#: name -> (K, c values); the scans mix infeasible, Gauss-Hermite-rung and
+#: interval-rung rows, and the unsorted grid repeats values
+_BATCHES = {
+    "sweep": _sweep_c_values,
+    "logcosh scan": lambda: (_K["logcosh(1)"], _SCAN),
+    "negexp scan": lambda: (_K["negexp"], _SCAN),
+    "unsorted repeats": lambda: (
+        _K["logcosh(1)"], np.array([0.1, -0.65, 0.1, 0.0, -0.9, 0.05, -0.65, 0.2, 0.0, 0.3, 0.1])
+    ),
+}
+
+
+def _scalar_results(cs, k):
+    out = []
+    for c in cs:
+        try:
+            out.append(solve_f0(float(c), k))
+        except ConvergenceError as err:
+            out.append(err)
+    return out
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, ConvergenceError):
+            assert (str(g), g.residual) == (str(w), w.residual)
+        else:
+            for name in ("log_amp", "kappa", "zeta", "a", "c", "residual", "entropy",
+                         "iterations", "halvings", "rule_size"):
+                assert getattr(g, name) == getattr(w, name), name
+            assert g.k is w.k
+
+
+@pytest.mark.parametrize("batch", sorted(_BATCHES))
+def test_array_call_equals_the_scalar_calls(batch):
+    # every row runs the scalar call's arithmetic, so the fields agree with
+    # == and a failed row carries the scalar call's error and message
+    k, cs = _BATCHES[batch]()
+    results = solve_f0(cs, k)
+    assert isinstance(results, list)
+    _assert_same_results(results, _scalar_results(cs, k))
+    if batch == "logcosh scan":
+        sizes = {d.rule_size for d in results if not isinstance(d, ConvergenceError)}
+        assert sizes == {gaussian_weighted_rule()[0].size, (1 << 15) + 1}
+        assert any(isinstance(d, InfeasibleConstraintError) for d in results)
+
+
+def test_small_blocks_split_the_batch_without_changing_results(monkeypatch):
+    # 450 elements hold two rows of the order-200 rule and one row of every
+    # larger rule, the order-400 re-check included
+    k, cs = _K["logcosh(1)"], np.array([0.05, -0.3, -0.65, 0.0, 0.1, -0.6, 0.3])
+    whole = solve_f0(cs, k)
+    calls = _count_dual_newton(monkeypatch)
+    monkeypatch.setattr(maxent, "_MAX_BATCH_ELEMENTS", 450)
+    _assert_same_results(solve_f0(cs, k), whole)
+    # six rows in range: three blocks on the order-200 rule, and the two
+    # that fail its re-check one by one on 2^15 + 1 nodes
+    assert calls == [200, 200, 200, (1 << 15) + 1, (1 << 15) + 1]
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_nan_anywhere_in_an_array_is_rejected_before_any_newton_run(where, monkeypatch):
+    calls = _count_dual_newton(monkeypatch)
+    cs = np.array([0.05, -0.3, 0.7, 0.0, 0.1])
+    cs[where] = math.nan
+    with pytest.raises(ValueError, match="c must be finite"):
+        solve_f0(cs, _K["logcosh(1)"])
+    with pytest.raises(ValueError, match="c must be a scalar or a 1-d array"):
+        solve_f0(np.zeros((2, 2)), _K["logcosh(1)"])
+    assert calls == []
+
+
+def test_an_empty_array_returns_no_solves(monkeypatch):
+    calls = _count_dual_newton(monkeypatch)
+    assert solve_f0(np.array([]), _K["logcosh(1)"]) == []
+    assert calls == []

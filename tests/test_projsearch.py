@@ -108,11 +108,47 @@ def test_sweep_computes_the_feasible_range_once(banded_data):
     assert _feasible_range.cache_info().misses == 1
 
 
+def test_sweep_solves_every_direction_in_one_call(banded_data, monkeypatch):
+    import icaprobe.projsearch as projsearch
+
+    calls = []
+
+    def counted(c, k, *rest):
+        calls.append(np.array(c))
+        return solve_f0(c, k, *rest)
+
+    monkeypatch.setattr(projsearch, "solve_f0", counted)
+    res = sweep(banded_data, grid_size=36)
+    assert len(calls) == 1 and calls[0].shape == (36,)
+    assert np.isfinite(res.values["j_f0"]).all()
+
+
+def test_sweep_reports_solver_work():
+    # per direction: the Newton steps and the rule size of the solve, 0
+    # where the solve failed; the data are those of the gaps test below
+    stream = ReproducibleStream(93)
+    base = stream.normals(1000).reshape(500, 2)
+    base[:6, 0] = np.array([8.0, -8.0, 9.0, -9.0, 10.0, -10.0])
+    data, _ = whiten(base)
+    res = sweep(data, grid_size=16)
+    assert res.f0_failed.any() and not res.f0_failed.all()
+    k = build_k(logcosh())
+    for i, theta in enumerate(res.thetas):
+        if res.f0_failed[i]:
+            assert res.f0_iterations[i] == 0 and res.f0_rule_size[i] == 0
+            continue
+        d = solve_f0(c_value(data @ np.array([math.sin(theta), math.cos(theta)]), k), k)
+        assert (res.f0_iterations[i], res.f0_rule_size[i]) == (d.iterations, d.rule_size)
+    assert res.f0_rule_size.max() > 0
+
+
 def test_sweep_argmax_skips_failures():
     res = SweepResult(
         thetas=np.array([0.0, 1.0, 2.0]),
         values={"j_f0": np.array([0.5, math.nan, 0.2])},
         f0_failed=np.array([False, True, False]),
+        f0_iterations=np.array([2, 0, 3]),
+        f0_rule_size=np.array([200, 0, 200]),
     )
     theta, val = res.argmax("j_f0")
     assert theta == 0.0 and val == 0.5
