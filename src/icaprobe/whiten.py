@@ -39,7 +39,8 @@ def whiten(X) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need n >= 2 and p >= 1, got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("values must be finite")
-    Xc = X - X.mean(axis=0)
+    mean = X.mean(axis=0)
+    Xc = X - mean
     cov = Xc.T @ Xc / (n - 1)
     lam, V = np.linalg.eigh(cov)
     lam_max = lam[-1]
@@ -58,7 +59,11 @@ def whiten(X) -> tuple[np.ndarray, np.ndarray]:
         Vk = V[:, keep]
         transform = Vk / np.sqrt(lam[keep])
     D = Xc @ transform
-    if np.abs(D.mean(axis=0)).max() > 1e-10:
+    # one centering pass leaves each column a mean of up to n ulps of its
+    # offset (numpy's axis-0 mean sums row by row), carried through the
+    # transform; a missed or wrong centering leaves the offset itself
+    mean_tol = 1e-10 + n * np.finfo(float).eps * (np.abs(mean) @ np.abs(transform))
+    if np.any(np.abs(D.mean(axis=0)) > mean_tol):
         raise ValueError("whitened columns must have zero mean")
     cov_err = np.abs(D.T @ D / (n - 1) - np.eye(D.shape[1])).max()
     if cov_err > 1e-8:

@@ -76,7 +76,7 @@ def test_sweep_manifest_replay(tmp_path, data_csv):
     first = tmp_path / "first.csv"
     assert run("sweep", "--data", data_csv, "--grid", 8, "--out", first) == 0
     manifest = first.with_suffix(".csv.manifest")
-    assert "version=0.1.5" in manifest.read_text().splitlines()
+    assert "version=0.1.6" in manifest.read_text().splitlines()
     replay = tmp_path / "replay.csv"
     assert run("sweep", "--config", manifest, "--out", replay) == 0
     assert first.read_bytes() == replay.read_bytes()
@@ -428,6 +428,17 @@ def test_sweep_tiny_input(tmp_path):
     assert run("sweep", "--data", data, "--grid", 8, "--out", out) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows.shape == (8, 6)
+
+
+def test_sweep_accepts_data_far_from_the_origin(tmp_path):
+    # centering leaves column means of some ulps of the 1e6 offset, which
+    # whiten's zero-mean check allows for
+    raw = 1e6 + np.random.default_rng(5).standard_normal((2000, 2))
+    data = tmp_path / "offset.csv"
+    data.write_text("x1,x2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in raw))
+    out = tmp_path / "offset_sweep.csv"
+    assert run("sweep", "--data", data, "--grid", 8, "--out", out) == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (8, 6)
 
 
 def test_svg_outputs_deterministic(tmp_path, data_csv):

@@ -97,3 +97,13 @@ def test_whitened_invariants_enforced(rng):
     with pytest.raises(DegenerateDataError, match="nearly collinear") as exc:
         whiten(raw)
     assert "smallest/largest covariance eigenvalue ratio" in str(exc.value)
+
+
+@pytest.mark.parametrize("offset", [3e5, 1e6])
+def test_data_far_from_the_origin_whitens(offset, rng):
+    # one centering pass leaves column means of some ulps of the offset,
+    # which the zero-mean check must allow for
+    raw = offset + rng.standard_normal((2000, 2))
+    D, _ = whiten(raw)
+    assert np.allclose(sample_cov(D), np.eye(2), atol=1e-8)
+    assert np.abs(D.mean(axis=0)).max() < 1e-6
