@@ -115,14 +115,9 @@ class KFunction:
     gamma: float
     delta: float
 
-    def from_g_values(self, x, gv):
-        """K(x) from gv = G(x) already evaluated, so a caller that also
-        needs G(x) evaluates it once."""
-        return (gv + self.alpha * x * x + self.beta * x + self.gamma) / self.delta
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return self.from_g_values(x, self.g.value(x))
+        return (self.g.value(x) + self.alpha * x * x + self.beta * x + self.gamma) / self.delta
 
     @property
     def tail_degree(self) -> int:

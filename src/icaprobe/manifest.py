@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-ARTIFACT_VERSION = "0.1.6"
+ARTIFACT_VERSION = "0.1.7"
 
 
 def sha256_file(path) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import GFunction, build_k, gaussian_expectation, kurtosis_contrast, logcosh
+from .contrast import GFunction, build_k, gaussian_expectation, logcosh
 from .entropy import ETA_1, mspacing_negentropy, resolve_m
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
@@ -49,6 +49,7 @@ class SweepResult:
 
     thetas: np.ndarray
     values: dict  # name -> array aligned with thetas
+    c: np.ndarray  # constraint value mean K(y) of each direction, passed to solve_f0
     f0_failed: np.ndarray  # bool mask where solve_f0 did not converge
     f0_iterations: np.ndarray  # Newton steps of each J[f0] solve, 0 where it failed
     f0_rule_size: np.ndarray  # nodes of the rule that settled it, 0 where it failed
@@ -73,13 +74,24 @@ def sweep(
     Every direction gets all of :data:`ALL_CONTRASTS`, with K built from
     ``g`` (logcosh by default) and one spacing for every m-spacing
     estimate, resolved from ``m`` by :func:`~icaprobe.entropy.resolve_m`
-    before the first direction.  G is evaluated once per direction and
-    feeds both the fastICA contrast and c = mean K(y), with the arithmetic
-    of :func:`~icaprobe.contrast.fastica_contrast` and
-    :func:`~icaprobe.contrast.c_value`.  The c of all directions go to one
-    :func:`~icaprobe.maxent.solve_f0` call.  J[f0] entries where the
-    surrogate solver fails are NaN with the failure flag set; they are
-    reported, never fabricated.
+    before the first direction.  Each direction makes one projection
+    y = D w, one sort (the m-spacing estimate) and one pass of G, whose
+    mean gives the fastICA contrast.  The polynomial moments need no pass
+    of their own: mean y, mean y^2 and mean y^4 are linear, quadratic and
+    quartic forms in w = (sin theta, cos theta) over the column means and
+    the second and fourth moments of D, computed once.  They give the
+    fourth-moment contrast |mean y^4 - 3| and, with mean G(y), the
+    constraint value c = mean K(y) = (mean G(y) + alpha mean y^2 + beta
+    mean y + gamma) / delta.  These agree with
+    :func:`~icaprobe.contrast.kurtosis_contrast` and
+    :func:`~icaprobe.contrast.c_value` on the projection to rounding for
+    whitened D, the sweep's contract.  On data far from the origin or
+    strongly anisotropic, the terms of the forms are large and cancel at
+    some theta, and the closed form loses accuracy with that cancellation.
+    The c of all directions go to one :func:`~icaprobe.maxent.solve_f0`
+    call and are returned as ``c``.  J[f0] entries where the surrogate
+    solver fails are NaN with the failure flag set; they are reported,
+    never fabricated.
     """
     n, p = D.shape
     if p != 2:
@@ -92,15 +104,28 @@ def sweep(
     k = build_k(g)
     g_gauss = gaussian_expectation(g)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
+    ws = np.array([[math.sin(theta), math.cos(theta)] for theta in thetas])
     values = {name: np.empty(grid_size) for name in ALL_CONTRASTS}
-    cs = np.empty(grid_size)
-    for i, theta in enumerate(thetas):
-        y = D @ np.array([math.sin(theta), math.cos(theta)])
+    g_means = np.empty(grid_size)
+    for i, w in enumerate(ws):
+        y = D @ w
         values["j_mspacing"][i] = mspacing_negentropy(y, m)  # rejects non-finite y
-        gv = g.value(y)
-        values["j_hat_star"][i] = (np.mean(gv) - g_gauss) ** 2
-        values["j_kurtosis"][i] = kurtosis_contrast(y)
-        cs[i] = np.mean(k.from_g_values(y, gv))
+        g_means[i] = np.mean(g.value(y))
+        values["j_hat_star"][i] = (g_means[i] - g_gauss) ** 2
+    x1, x2 = D[:, 0], D[:, 1]
+    x11, x12, x22 = x1 * x1, x1 * x2, x2 * x2
+    s, t = ws[:, 0], ws[:, 1]  # sin and cos of theta
+    mean_y = s * np.mean(x1) + t * np.mean(x2)
+    mean_y2 = s * s * np.mean(x11) + 2.0 * s * t * np.mean(x12) + t * t * np.mean(x22)
+    mean_y4 = (
+        s**4 * np.mean(x11 * x11)
+        + 4.0 * s**3 * t * np.mean(x11 * x12)
+        + 6.0 * s**2 * t**2 * np.mean(x11 * x22)
+        + 4.0 * s * t**3 * np.mean(x12 * x22)
+        + t**4 * np.mean(x22 * x22)
+    )
+    values["j_kurtosis"] = np.abs(mean_y4 - 3.0)
+    cs = (g_means + k.alpha * mean_y2 + k.beta * mean_y + k.gamma) / k.delta
     f0_failed = np.zeros(grid_size, dtype=bool)
     f0_iterations = np.zeros(grid_size, dtype=int)
     f0_rule_size = np.zeros(grid_size, dtype=int)
@@ -112,7 +137,7 @@ def sweep(
             values["j_f0"][i] = ETA_1 - d.entropy
             f0_iterations[i], f0_rule_size[i] = d.iterations, d.rule_size
     return SweepResult(
-        thetas=thetas, values=values, f0_failed=f0_failed,
+        thetas=thetas, values=values, c=cs, f0_failed=f0_failed,
         f0_iterations=f0_iterations, f0_rule_size=f0_rule_size,
     )
 

@@ -19,6 +19,19 @@ from .errors import DegenerateDataError
 #: deficiency; keeping them would amplify noise directions by >= 1e6.
 RANK_THRESHOLD = 1e-12
 
+#: Largest entry of |(1/(n-1)) D^T D - I| that whitening must reach.
+COV_TOL = 1e-8
+
+#: Kept directions whose eigenvalue is below this multiple of the largest
+#: are rejected as nearly collinear.  A kept direction with eigenvalue
+#: ratio r whitens to within about C eps / r; C reached 2.2 over columns x
+#: and x + s N(0, 1), s = 1e-4 ... 1e-3, beside independent columns
+#: (n = 300 ... 1e5, p = 2 ... 5, 10 draws each).  So at 4 eps / COV_TOL
+#: (8.9e-8) every accepted input meets COV_TOL, and whether an input is
+#: accepted depends on its eigenvalue ratio, not on how the covariance
+#: check happens to round.
+COLLINEAR_RATIO = 4.0 * np.finfo(float).eps / COV_TOL
+
 
 def whiten(X) -> tuple[np.ndarray, np.ndarray]:
     """Center and whiten an n x p~ observation matrix, dropping
@@ -28,8 +41,9 @@ def whiten(X) -> tuple[np.ndarray, np.ndarray]:
     map from the centered input to it.  Raises ``ValueError`` unless X is
     a finite 2-d matrix with n >= 2 and p~ >= 1, and
     :class:`DegenerateDataError` when it has no variance at all (all rows
-    identical) or when its columns are so nearly collinear that D misses
-    unit sample covariance by more than 1e-8.
+    identical) or when its columns are nearly collinear: a kept direction
+    has an eigenvalue ratio below :data:`COLLINEAR_RATIO`, or D misses unit
+    sample covariance by more than :data:`COV_TOL`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -52,6 +66,13 @@ def whiten(X) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(lam)[::-1]
         keep = np.zeros_like(keep)
         keep[order[: n - 1]] = True
+    ratio = lam[keep].min() / lam_max
+    if ratio < COLLINEAR_RATIO:
+        raise DegenerateDataError(
+            f"columns are nearly collinear: the smallest/largest covariance eigenvalue "
+            f"ratio {ratio:.3g} is below {COLLINEAR_RATIO:.3g}, where whitening cannot "
+            f"promise unit covariance within {COV_TOL:g}"
+        )
     if keep.all():
         # full rank: symmetric (rotation-free) square root
         transform = (V / np.sqrt(lam)) @ V.T
@@ -66,11 +87,10 @@ def whiten(X) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(D.mean(axis=0)) > mean_tol):
         raise ValueError("whitened columns must have zero mean")
     cov_err = np.abs(D.T @ D / (n - 1) - np.eye(D.shape[1])).max()
-    if cov_err > 1e-8:
-        ratio = lam[keep].min() / lam_max
+    if cov_err > COV_TOL:
         raise DegenerateDataError(
             f"columns are nearly collinear: the smallest/largest covariance eigenvalue "
-            f"ratio {ratio:.3g} leaves a whitening error of {cov_err:.3g} (> 1e-8)"
+            f"ratio {ratio:.3g} leaves a whitening error of {cov_err:.3g} (> {COV_TOL:g})"
         )
     return D, transform
 

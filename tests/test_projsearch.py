@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from icaprobe.contrast import build_k, c_value, fastica_contrast, kurtosis_contrast, logcosh
+from icaprobe.contrast import (
+    build_k,
+    c_value,
+    fastica_contrast,
+    kurtosis_contrast,
+    logcosh,
+    negexp,
+)
 from icaprobe.datagen import GenConfig, gen_banded_gaussian, gen_mixed_sources, rotation_2d
 from icaprobe.entropy import ETA_1, mspacing_negentropy
 from icaprobe.errors import OptimizationError
@@ -29,6 +36,29 @@ def gaussian_data():
 def banded_data():
     D, _ = whiten(gen_banded_gaussian(GenConfig(n=2000, seed=42)))
     return D
+
+
+@pytest.fixture(scope="module")
+def outlier_data():
+    # heavy-tail injections along x1: c passes logcosh's upper bound for a
+    # band of directions, and mean y^4 reaches ~22 at theta = pi/2
+    base = ReproducibleStream(93).normals(1000).reshape(500, 2)
+    base[:6, 0] = np.array([8.0, -8.0, 9.0, -9.0, 10.0, -10.0])
+    D, _ = whiten(base)
+    return D
+
+
+def _assert_moments_agree(res, D, k):
+    # the sweep's closed-form c and fourth-moment contrast against c_value
+    # and kurtosis_contrast on each projection.  Measured over 360
+    # directions on the Gaussian, banded and outlier data, for logcosh 1
+    # and 2 and negexp: |c - c_value| <= 1.9e-15, and the kurtosis
+    # contrast differs by <= 6.0e-16 of mean y^4 (kurtosis_contrast + 3)
+    for i, theta in enumerate(res.thetas):
+        y = D @ np.array([math.sin(theta), math.cos(theta)])
+        assert abs(res.c[i] - c_value(y, k)) <= 4e-15
+        kurt = kurtosis_contrast(y)
+        assert abs(res.values["j_kurtosis"][i] - kurt) <= 2e-15 * (kurt + 3.0)
 
 
 def test_sweep_shapes_and_grid(gaussian_data):
@@ -60,15 +90,27 @@ def test_sweep_gaussian_contrasts_flat(gaussian_data):
 
 
 def test_sweep_matches_direct_evaluation(gaussian_data):
+    # the sorted and G-based contrasts are the direct functions' bit for
+    # bit; c and the kurtosis contrast come from D's moments in closed
+    # form, so they agree to rounding, and J[f0] is the solve of that c
     res = sweep(gaussian_data, grid_size=16)
     k = build_k(logcosh())
     for i, theta in enumerate(res.thetas):
         y = gaussian_data @ np.array([math.sin(theta), math.cos(theta)])
         assert res.values["j_mspacing"][i] == mspacing_negentropy(y)
         assert res.values["j_hat_star"][i] == fastica_contrast(y, logcosh())
-        assert res.values["j_kurtosis"][i] == kurtosis_contrast(y)
-        assert res.values["j_f0"][i] == ETA_1 - solve_f0(c_value(y, k), k).entropy
+        assert res.values["j_f0"][i] == ETA_1 - solve_f0(res.c[i], k).entropy
+    _assert_moments_agree(res, gaussian_data, k)
     assert not res.f0_failed.any()
+
+
+@pytest.mark.parametrize("g", [logcosh(), logcosh(2.0), negexp()], ids=lambda g: g.name)
+def test_sweep_moments_agree_on_whitened_data_with_outliers(outlier_data, g):
+    # the closed form's terms grow with the outliers' fourth moments (mean
+    # y^4 ~ 22 at theta = pi/2), and the agreement holds to the same bounds
+    res = sweep(outlier_data, grid_size=360, g=g)
+    assert res.values["j_kurtosis"].max() > 18.0
+    _assert_moments_agree(res, outlier_data, build_k(g))
 
 
 def test_sweep_evaluates_g_once_per_direction(gaussian_data):
@@ -97,6 +139,34 @@ def test_sweep_counterexample_separation(banded_data):
     assert not res.f0_failed.any()
 
 
+def test_argmax_hits_across_g_and_seeds():
+    # README's table: per G, the seeds (0-9, n = 2000) at which each
+    # contrast's argmax lies within 2 degrees (4 grid steps) of the
+    # m-spacing argmax; the m-spacing argmax itself is on the band
+    # (89.5-91 degrees) at every seed
+    data = [whiten(gen_banded_gaussian(GenConfig(n=2000, seed=s)))[0] for s in range(10)]
+    hits = {}
+    for g in (logcosh(1.0), logcosh(2.0), negexp()):
+        for name in ("j_hat_star", "j_f0", "j_kurtosis"):
+            hits[g.name, name] = []
+        for seed, D in enumerate(data):
+            res = sweep(D, g=g)
+            im = int(np.nanargmax(res.values["j_mspacing"]))
+            assert 179 <= im <= 182
+            for name in ("j_hat_star", "j_f0", "j_kurtosis"):
+                steps = abs(int(np.nanargmax(res.values[name])) - im)
+                if min(steps, 360 - steps) <= 4:
+                    hits[g.name, name].append(seed)
+    alpha2 = [0, 3, 4, 5, 6, 7, 8, 9]
+    assert hits == {
+        ("logcosh(1)", "j_hat_star"): [], ("logcosh(1)", "j_f0"): [],
+        ("logcosh(1)", "j_kurtosis"): [],
+        ("logcosh(2)", "j_hat_star"): alpha2, ("logcosh(2)", "j_f0"): alpha2,
+        ("logcosh(2)", "j_kurtosis"): [],
+        ("negexp", "j_hat_star"): [], ("negexp", "j_f0"): [], ("negexp", "j_kurtosis"): [],
+    }
+
+
 def test_sweep_computes_the_feasible_range_once(banded_data):
     # solve_f0 checks the range before every solve; the cache keeps that
     # to one computation per K, however many directions the sweep has, and
@@ -123,21 +193,19 @@ def test_sweep_solves_every_direction_in_one_call(banded_data, monkeypatch):
     assert np.isfinite(res.values["j_f0"]).all()
 
 
-def test_sweep_reports_solver_work():
-    # per direction: the Newton steps and the rule size of the solve, 0
-    # where the solve failed; the data are those of the gaps test below
-    stream = ReproducibleStream(93)
-    base = stream.normals(1000).reshape(500, 2)
-    base[:6, 0] = np.array([8.0, -8.0, 9.0, -9.0, 10.0, -10.0])
-    data, _ = whiten(base)
-    res = sweep(data, grid_size=16)
+def test_sweep_reports_solver_work(outlier_data):
+    # per direction: the Newton steps and the rule size of the solve of
+    # res.c, 0 where the solve failed.  The solve counts are those of the
+    # sweep's own c: near the upper bound (row 13, c ~ 0.189) c_value's c,
+    # which differs only by rounding, takes 26 Newton steps against 23
+    res = sweep(outlier_data, grid_size=16)
     assert res.f0_failed.any() and not res.f0_failed.all()
     k = build_k(logcosh())
-    for i, theta in enumerate(res.thetas):
+    for i in range(len(res.thetas)):
         if res.f0_failed[i]:
             assert res.f0_iterations[i] == 0 and res.f0_rule_size[i] == 0
             continue
-        d = solve_f0(c_value(data @ np.array([math.sin(theta), math.cos(theta)]), k), k)
+        d = solve_f0(res.c[i], k)
         assert (res.f0_iterations[i], res.f0_rule_size[i]) == (d.iterations, d.rule_size)
     assert res.f0_rule_size.max() > 0
 
@@ -146,6 +214,7 @@ def test_sweep_argmax_skips_failures():
     res = SweepResult(
         thetas=np.array([0.0, 1.0, 2.0]),
         values={"j_f0": np.array([0.5, math.nan, 0.2])},
+        c=np.array([0.01, 0.5, 0.02]),
         f0_failed=np.array([False, True, False]),
         f0_iterations=np.array([2, 0, 3]),
         f0_rule_size=np.array([200, 0, 200]),
@@ -284,15 +353,11 @@ def test_sweep_validation(gaussian_data):
         sweep(gaussian_data, grid_size=4)
 
 
-def test_sweep_flags_solver_failures_as_gaps():
+def test_sweep_flags_solver_failures_as_gaps(outlier_data):
     # heavy-tail injections push the constraint value past integrability
     # for a band of directions; those entries are NaN + flagged, and the
     # argmax is taken over the surviving grid points
-    stream = ReproducibleStream(93)
-    base = stream.normals(1000).reshape(500, 2)
-    base[:6, 0] = np.array([8.0, -8.0, 9.0, -9.0, 10.0, -10.0])
-    data, _ = whiten(base)
-    res = sweep(data, grid_size=16)
+    res = sweep(outlier_data, grid_size=16)
     assert res.f0_failed.any()
     assert np.isnan(res.values["j_f0"][res.f0_failed]).all()
     assert np.isfinite(res.values["j_f0"][~res.f0_failed]).all()
