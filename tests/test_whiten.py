@@ -115,8 +115,9 @@ def test_covariance_check_guards_behind_the_ratio_check(rng, monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_nearly_collinear_verdict_does_not_depend_on_the_draw(seed):
     # columns x and x + 1e-4 N(0, 1), eigenvalue ratio ~2.5e-9: whitening
-    # misses unit covariance by 3e-9 to 7e-8 depending on the draw, and
-    # the verdict rests on the ratio, so every draw is rejected alike
+    # misses unit covariance by up to 7e-8, above or below 1e-8 depending
+    # on the draw, and the verdict rests on the ratio, so every draw is
+    # rejected alike
     gen = np.random.default_rng(seed)
     x = gen.standard_normal(2000)
     raw = np.column_stack([x, x + 1e-4 * gen.standard_normal(2000)])
