@@ -202,7 +202,7 @@ def cmd_densities(cfg, out, svg):
     g = _g_function(cfg)
     k = build_k(g)
     p = data.shape[1]
-    choice = cfg["direction"]
+    choice, theta = cfg["direction"], None
     if choice == "mspacing-opt":
         w = optimize_direction(data, lambda w: mspacing_negentropy(data @ w))
     elif choice == "fastica-opt":
@@ -211,6 +211,9 @@ def cmd_densities(cfg, out, svg):
         theta = float(choice)
         if p != 2:
             raise ValueError(f"an angle direction needs data with 2 columns, got {p}")
+    if p == 2:  # project on the recorded angle's own vector, so that it replays
+        if theta is None:
+            theta = math.atan2(w[0], w[1]) % math.pi
         w = np.array([math.sin(theta), math.cos(theta)])
     y = data @ w
     grid = DENSITY_GRID
@@ -234,7 +237,7 @@ def cmd_densities(cfg, out, svg):
     files = [out]
     _svg(svg, lambda: svgplot.overlay(curves, xlabel="x", ylabel="density"), files)
     if p == 2:  # an angle names a direction only in the plane
-        cfg["resolved_direction"] = _g17(math.atan2(w[0], w[1]) % math.pi)
+        cfg["resolved_direction"] = _g17(theta)
     return files
 
 

@@ -38,14 +38,15 @@ Simpson grids over the density support follow and start at
 density.  At a = c the exponent's leading coefficient -1/2 + c tail_coeff
 is positive once c tail_coeff > 1/2, the start grows toward the ends of
 the support, and the first Newton steps backtrack through dozens of
-halvings.  The grids have 2^10, 2^12, 2^15, 2^16, 2^17 and 2^19 panels.
-A solve is kept once it re-integrates on a finer rule: within 10 tol on
-the order-400 Gauss-Hermite rule, and within tol on a grid of
-max(2 ngrid, 2^12) panels.  The looser Gauss-Hermite test keeps which c
-that rung settles; on a grid, 10 tol let a 2^10-panel solve through whose
-dual entropy was 2.2e-9 off quadrature (uniform mixture eps = 0.2).  A
-failed run or re-check passes c on, and an integrability guard violation
-ends the ladder on any rung.
+halvings.  The grids have 2^10, 2^12, 2^15, 2^17 and 2^19 panels.
+A solve is kept only once it re-integrates on a finer rule, on every
+rung: within 10 tol on the order-400 Gauss-Hermite rule, and within tol
+on a grid of max(2 ngrid, 2^12) panels, 2^20 for the finest.  The looser
+Gauss-Hermite test keeps which c that rung settles; on a grid, 10 tol let
+a 2^10-panel solve through whose dual entropy was 2.2e-9 off quadrature
+(uniform mixture eps = 0.2).  A failed run or re-check passes c on, a
+failure on the finest grid is a :class:`ConvergenceError`, and an
+integrability guard violation ends the ladder on any rung.
 Each solve reports its Newton iterations, line-search halvings and the
 node count of the rule that produced it.
 
@@ -99,8 +100,9 @@ INTEGRABILITY_MARGIN = -1e-6
 #: Simpson panels of the grid rungs, coarse to fine.  On the -1 ... 1 scan
 #: in steps of 0.05, most grid solves settle on 2^10 panels and move
 #: J[f0] by at most 1.5e-13 from their 2^15-panel values; a 2^8 grid in
-#: front moved it by up to 1.5e-11.
-_INTERVAL_GRIDS = (1 << 10, 1 << 12, 1 << 15, 1 << 16, 1 << 17, 1 << 19)
+#: front moved it by up to 1.5e-11.  No measured solve settled on 2^16
+#: panels, so that grid is not tried.
+_INTERVAL_GRIDS = (1 << 10, 1 << 12, 1 << 15, 1 << 17, 1 << 19)
 
 #: Fewest panels of a grid's re-check, so that a solve on a coarse grid
 #: re-integrates on at least 2^12 + 1 nodes, not just twice its own.
@@ -469,15 +471,13 @@ def _ladder():
     A rung is (nodes, weights, phi_weighted, recheck): ``recheck()`` builds
     the independent rule a solve must re-integrate on, the order-400
     Gauss-Hermite rule or the Simpson grid of max(2 ngrid,
-    :data:`_MIN_RECHECK_GRID`) panels; the finest grid has none.
+    :data:`_MIN_RECHECK_GRID`) panels, the finest grid included.
     """
     recheck = partial(gaussian_weighted_rule, 2 * DEFAULT_ORDER)
     yield (*gaussian_weighted_rule(DEFAULT_ORDER), True, recheck)
     for ngrid in _INTERVAL_GRIDS:
-        finer = None if ngrid == _INTERVAL_GRIDS[-1] else partial(
-            _interval_points, max(2 * ngrid, _MIN_RECHECK_GRID)
-        )
-        yield (*_interval_points(ngrid), False, finer)
+        yield (*_interval_points(ngrid), False,
+               partial(_interval_points, max(2 * ngrid, _MIN_RECHECK_GRID)))
 
 
 def _single(results):
@@ -493,9 +493,9 @@ def _single(results):
 
 def _solve(c, k: KFunction, tol: float, rungs):
     """One Newton run per rung for each c until its solve re-integrates,
-    within 10 tol on the Gauss-Hermite rung and within tol on a grid; a
-    scalar c returns the solve or raises, a 1-d c returns one entry per
-    row, the solve or its ConvergenceError.
+    within 10 tol on the Gauss-Hermite rung and within tol on a grid, the
+    finest included; a scalar c returns the solve or raises, a 1-d c
+    returns one entry per row, the solve or its ConvergenceError.
 
     Each rung runs :func:`_dual_newton` on the rows still open, and
     re-checks the rows it solved, both in blocks of :func:`_blocks`.  A
@@ -527,10 +527,7 @@ def _solve(c, k: KFunction, tol: float, rungs):
                         c=float(rows[i]), residual=residual, entropy=entropy,
                         iterations=iterations, halvings=halvings, rule_size=x.size,
                     )))
-        if recheck is None:
-            for i, d in solved:
-                out[i] = d
-        elif solved:
+        if solved:
             xr, wr = recheck()
             limit = 10.0 * tol if weighted else tol
             for block in _blocks(solved, xr.size):
@@ -642,8 +639,10 @@ def solve_f0(c, k: KFunction, tol: float = 1e-10):
     Then the ladder of the module docstring runs on the rest together:
     the Gauss-Hermite rung, then Simpson grids on the density support,
     which resolve the narrow spikes f0 develops near the moment boundary.
-    A failure on the finest grid, or an integrability guard violation on
-    any rung, gives :class:`ConvergenceError`.
+    Every rung re-checks its solves, so a solve on the finest grid that
+    does not re-integrate within tol on 2^20 panels, or an integrability
+    guard violation on any rung, gives :class:`ConvergenceError`; no
+    unverified solve is returned.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -26,7 +26,6 @@ from .contrast import GFunction, build_k, gaussian_expectation, logcosh
 from .entropy import ETA_1, mspacing_negentropy, resolve_m
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
-from .whiten import whiten
 
 ALL_CONTRASTS = ("j_mspacing", "j_f0", "j_hat_star", "j_kurtosis")
 
@@ -239,9 +238,7 @@ def mspacing_components(D: np.ndarray, components: int) -> np.ndarray:
         if basis.shape[1] == 1:
             w = basis[:, 0]
         else:
-            sub, transform = whiten(D @ basis)  # complement projections are already white
-            u = optimize_direction(sub, lambda u: mspacing_negentropy(sub @ u))
-            w = basis @ (transform @ u)
-            w = w / np.linalg.norm(w)
+            sub = D @ basis  # white already: the basis columns are orthonormal
+            w = basis @ optimize_direction(sub, lambda u: mspacing_negentropy(sub @ u))
         rows.append(w)
     return np.vstack(rows)

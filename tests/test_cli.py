@@ -76,7 +76,7 @@ def test_sweep_manifest_replay(tmp_path, data_csv):
     first = tmp_path / "first.csv"
     assert run("sweep", "--data", data_csv, "--grid", 8, "--out", first) == 0
     manifest = first.with_suffix(".csv.manifest")
-    assert "version=0.1.7" in manifest.read_text().splitlines()
+    assert "version=0.1.8" in manifest.read_text().splitlines()
     replay = tmp_path / "replay.csv"
     assert run("sweep", "--config", manifest, "--out", replay) == 0
     assert first.read_bytes() == replay.read_bytes()
@@ -133,11 +133,21 @@ def test_densities_reports_the_violated_bound(tmp_path, capsys):
 
 
 def test_densities_optimized_directions(tmp_path, data_csv):
-    for choice in ("mspacing-opt", "fastica-opt"):
+    # the recorded angle names the vector the density was projected on, so
+    # a rerun with it writes the same bytes: fastICA's w is recorded mod pi
+    # and projected in that form, and an explicit angle is kept as given
+    # (4.0 reduced to 4 - pi would project on -w and mirror the density)
+    for choice in ("mspacing-opt", "fastica-opt", "1.2", "4.0"):
         out = tmp_path / f"dens_{choice}.csv"
         assert run("densities", "--data", data_csv, "--direction", choice, "--out", out) == 0
-        cfg = read_config(out.with_suffix(".csv.manifest"))
-        assert 0.0 <= float(cfg["resolved_direction"]) < math.pi
+        theta = read_config(out.with_suffix(".csv.manifest"))["resolved_direction"]
+        if choice.endswith("-opt"):
+            assert 0.0 <= float(theta) < math.pi
+        else:
+            assert float(theta) == float(choice)
+        rerun = tmp_path / f"dens_{choice}_rerun.csv"
+        assert run("densities", "--data", data_csv, "--direction", theta, "--out", rerun) == 0
+        assert rerun.read_bytes() == out.read_bytes(), choice
 
 
 def test_ica_fastica(tmp_path, data_csv):

@@ -457,9 +457,9 @@ def test_grid_solves_reintegrate_within_tol(family, request):
 
 def test_mixture_solves_past_a_coarse_grid_proving_infeasibility(k_logcosh, monkeypatch):
     # at eps = 0.001 the direct solve on the 2^15-point grid hits the dual
-    # floor and 2^16 stalls; 2^17 and 2^19 reach the constraint value, so
-    # one grid's verdict must not end the ladder.  Each rule gets one
-    # Newton run: the Gauss-Hermite rung plus at most one per grid.
+    # floor; 2^17 and 2^19 reach the constraint value, so one grid's
+    # verdict must not end the ladder.  Each rule gets one Newton run: the
+    # Gauss-Hermite rung plus at most one per grid.
     rule_sizes = []
     dual_newton = maxent._dual_newton
 
@@ -472,6 +472,35 @@ def test_mixture_solves_past_a_coarse_grid_proving_infeasibility(k_logcosh, monk
     assert np.isfinite(res.j_f0)
     assert res.j_f0 <= res.j_true
     assert len(rule_sizes) <= 1 + len(maxent._INTERVAL_GRIDS)
+
+
+@pytest.mark.parametrize("eps, panels", [(0.005, 1 << 15), (0.002, 1 << 17), (0.001, 1 << 19)])
+def test_mixture_census_near_the_two_point_limit(k_negexp, eps, panels):
+    # the grid each mixture settles on as its spikes at +-1 narrow
+    res = uniform_mixture_case(eps, k_negexp)
+    assert res.surrogate.rule_size == panels + 1
+
+
+def test_every_rung_rechecks_on_a_finer_rule():
+    # no rung keeps a solve unchecked, the finest grid included
+    sizes = [(x.size, recheck()[0].size) for x, _, _, recheck in _ladder()]
+    gh = [gaussian_weighted_rule(order)[0].size for order in (200, 400)]
+    assert sizes == [tuple(gh)] + [
+        (n + 1, max(2 * n, maxent._MIN_RECHECK_GRID) + 1) for n in maxent._INTERVAL_GRIDS
+    ]
+    assert maxent._INTERVAL_GRIDS == (1 << 10, 1 << 12, 1 << 15, 1 << 17, 1 << 19)
+
+
+def test_finest_grid_solve_must_reintegrate(k_logcosh):
+    # near the two-point limit c_lo the 2^19-panel solve misses the
+    # moments by ~3e-10 on 2^20 panels at 1 - c/c_lo = 1e-7, above tol =
+    # 1e-10: reported as a failure, not returned unverified; at 1e-6 it
+    # re-integrates and is kept
+    c_lo = _feasible_range(k_logcosh)[0]
+    with pytest.raises(ConvergenceError, match="does not re-integrate consistently") as exc:
+        solve_f0(c_lo * (1.0 - 1e-7), k_logcosh)
+    assert not isinstance(exc.value, InfeasibleConstraintError)
+    assert solve_f0(c_lo * (1.0 - 1e-6), k_logcosh).rule_size == (1 << 19) + 1
 
 
 def test_far_negexp_solves_emit_no_overflow_warning(k_negexp):
