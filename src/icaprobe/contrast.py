@@ -14,9 +14,11 @@ has unit Gaussian norm.  The closed forms are
     delta = +-sqrt(E[(G + alpha x^2 + beta x + gamma)(Z)^2])
 
 with the sign of delta chosen so K is bounded below (its growing tail is
-nonnegative).  From K come the sample constraint value c = mean K(y), the
-final fastICA contrast (mean G(y) - E[G(Z)])^2, the fourth-moment contrast,
-and the Taylor-level negentropy (1/2)||c||^2.
+nonnegative).  G must be even, as in fastICA's one-unit contrast, so that
+w and -w score alike; :func:`build_k` rejects any other G.  From K come
+the sample constraint value c = mean K(y), the final fastICA contrast
+(mean G(y) - E[G(Z)])^2, the fourth-moment contrast, and the Taylor-level
+negentropy (1/2)||c||^2.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ import numpy as np
 
 from .errors import DegenerateGError
 from .quadrature import gaussian_weighted_rule
-
-#: Grid used when the tail test cannot decide the sign of delta.
-_SIGN_GRID = np.linspace(-12.0, 12.0, 4001)
-
 
 @dataclass(frozen=True)
 class GFunction:
@@ -131,25 +129,23 @@ class KFunction:
 
 
 def _delta_sign(numerator) -> float:
-    """Sign making the growing tail of K nonnegative (K bounded below).
-
-    When the tails disagree in sign (odd-dominated numerator), fall back to
-    the sign giving the larger minimum over the reference grid.
-    """
-    n_plus = float(numerator(30.0))
-    n_minus = float(numerator(-30.0))
-    if n_plus > 0 and n_minus > 0:
-        return 1.0
-    if n_plus < 0 and n_minus < 0:
-        return -1.0
-    vals = numerator(_SIGN_GRID)
-    return 1.0 if float(vals.min() + vals.max()) >= 0.0 else -1.0
+    """Sign making the growing tail of K nonnegative (K bounded below); K is
+    even, so one tail decides it."""
+    return 1.0 if float(numerator(30.0)) > 0 else -1.0
 
 
 def build_k(g: GFunction) -> KFunction:
-    """Construct the K function for g under the default Gaussian rule."""
+    """Construct the K function for g under the default Gaussian rule.
+
+    Raises ``ValueError`` if G is not even: if |G(x) - G(-x)| exceeds 1e-12
+    of max |G| on the rule's nodes, which are exactly symmetric.
+    """
     x, w = gaussian_weighted_rule()
     gv = g.value(x)
+    asymmetry = float(np.abs(gv - gv[::-1]).max())
+    if asymmetry > 1e-12 * float(np.abs(gv).max()):
+        raise ValueError(f"{g.name}: G must be even, but |G(x) - G(-x)| reaches "
+                         f"{asymmetry:.3g} on the Gaussian rule's nodes")
     m0 = float(w @ gv)
     m1 = float(w @ (x * gv))
     m2 = float(w @ (x * x * gv))

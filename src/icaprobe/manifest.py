@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-ARTIFACT_VERSION = "0.1.8"
+ARTIFACT_VERSION = "0.1.9"
 
 
 def sha256_file(path) -> str:

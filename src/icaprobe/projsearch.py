@@ -76,12 +76,11 @@ def sweep(
     before the first direction.  Each direction makes one projection
     y = D w, one sort (the m-spacing estimate) and one pass of G, whose
     mean gives the fastICA contrast.  The polynomial moments need no pass
-    of their own: mean y, mean y^2 and mean y^4 are linear, quadratic and
-    quartic forms in w = (sin theta, cos theta) over the column means and
-    the second and fourth moments of D, computed once.  They give the
-    fourth-moment contrast |mean y^4 - 3| and, with mean G(y), the
-    constraint value c = mean K(y) = (mean G(y) + alpha mean y^2 + beta
-    mean y + gamma) / delta.  These agree with
+    of their own: mean y^2 and mean y^4 are quadratic and quartic forms in
+    w = (sin theta, cos theta) over the second and fourth moments of D,
+    computed once.  They give the fourth-moment contrast |mean y^4 - 3|
+    and, with mean G(y), the constraint value c = mean K(y) = (mean G(y) +
+    alpha mean y^2 + gamma) / delta, since K is even.  These agree with
     :func:`~icaprobe.contrast.kurtosis_contrast` and
     :func:`~icaprobe.contrast.c_value` on the projection to rounding for
     whitened D, the sweep's contract.  On data far from the origin or
@@ -114,7 +113,6 @@ def sweep(
     x1, x2 = D[:, 0], D[:, 1]
     x11, x12, x22 = x1 * x1, x1 * x2, x2 * x2
     s, t = ws[:, 0], ws[:, 1]  # sin and cos of theta
-    mean_y = s * np.mean(x1) + t * np.mean(x2)
     mean_y2 = s * s * np.mean(x11) + 2.0 * s * t * np.mean(x12) + t * t * np.mean(x22)
     mean_y4 = (
         s**4 * np.mean(x11 * x11)
@@ -124,7 +122,7 @@ def sweep(
         + t**4 * np.mean(x22 * x22)
     )
     values["j_kurtosis"] = np.abs(mean_y4 - 3.0)
-    cs = (g_means + k.alpha * mean_y2 + k.beta * mean_y + k.gamma) / k.delta
+    cs = (g_means + k.alpha * mean_y2 + k.gamma) / k.delta
     f0_failed = np.zeros(grid_size, dtype=bool)
     f0_iterations = np.zeros(grid_size, dtype=int)
     f0_rule_size = np.zeros(grid_size, dtype=int)
@@ -221,8 +219,10 @@ def mspacing_components(D: np.ndarray, components: int) -> np.ndarray:
 
     Row k of the returned (components, p) array maximizes the m-spacing
     negentropy by :func:`optimize_direction` over the complement of rows
-    0 ... k-1; the last of p rows is that complement itself.  Raises
-    ``ValueError`` unless 1 <= components <= p.
+    0 ... k-1; the last of p rows is that complement itself.  Each row is
+    signed so that its largest-magnitude entry (the first, on a tie) is
+    positive: the complement's sign would otherwise follow rounding in the
+    rows before it.  Raises ``ValueError`` unless 1 <= components <= p.
     """
     p = D.shape[1]
     if components < 1:
@@ -241,4 +241,6 @@ def mspacing_components(D: np.ndarray, components: int) -> np.ndarray:
             sub = D @ basis  # white already: the basis columns are orthonormal
             w = basis @ optimize_direction(sub, lambda u: mspacing_negentropy(sub @ u))
         rows.append(w)
-    return np.vstack(rows)
+    W = np.vstack(rows)
+    lead = W[np.arange(components), np.argmax(np.abs(W), axis=1)]
+    return W * np.sign(lead)[:, None]

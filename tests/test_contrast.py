@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icaprobe.contrast import (
+    GFAMILIES,
     GFunction,
     build_k,
     c_value,
@@ -84,8 +85,8 @@ def test_build_k_invariant_to_quadratic_shifts(k_logcosh):
     base = logcosh()
     shifted = GFunction(
         name="logcosh+quad",
-        value=lambda x: base.value(x) + 0.7 * np.asarray(x, float) ** 2 - 1.3 * np.asarray(x, float) + 2.1,
-        deriv=lambda x: base.deriv(x) + 1.4 * np.asarray(x, float) - 1.3,
+        value=lambda x: base.value(x) + 0.7 * np.asarray(x, float) ** 2 + 2.1,
+        deriv=lambda x: base.deriv(x) + 1.4 * np.asarray(x, float),
         deriv2=lambda x: base.deriv2(x) + 1.4,
     )
     k2 = build_k(shifted)
@@ -93,33 +94,30 @@ def test_build_k_invariant_to_quadratic_shifts(k_logcosh):
     assert np.max(np.abs(k2(grid) - k_logcosh(grid))) < 1e-8
 
 
-def test_odd_cubic_sign_tie_breaks_positive():
-    g = GFunction(
+def test_build_k_rejects_a_g_that_is_not_even():
+    base = logcosh()
+    shifted = GFunction(
+        name="logcosh-shifted",
+        value=lambda x: base.value(np.asarray(x, float) + 0.5),
+        deriv=lambda x: base.deriv(np.asarray(x, float) + 0.5),
+        deriv2=lambda x: base.deriv2(np.asarray(x, float) + 0.5),
+    )
+    cubic = GFunction(
         name="cubic",
         value=lambda x: np.asarray(x, float) ** 3,
         deriv=lambda x: 3.0 * np.asarray(x, float) ** 2,
         deriv2=lambda x: 6.0 * np.asarray(x, float),
     )
-    k = build_k(g)
-    # He3 / sqrt(6): beta = -E[Z^4] = -3, delta = sqrt(3!) with + sign
-    assert k.beta == pytest.approx(-3.0, abs=1e-10)
-    assert k.delta == pytest.approx(math.sqrt(6.0), abs=1e-10)
-
-
-def test_two_constraint_family_cross_orthogonality(rule200):
-    # the classical I = 2 pair (x^3, x^4): both K's orthonormal and
-    # mutually orthogonal under the Gaussian weight
-    g3 = GFunction(
-        name="cubic",
-        value=lambda x: np.asarray(x, float) ** 3,
-        deriv=lambda x: 3.0 * np.asarray(x, float) ** 2,
-        deriv2=lambda x: 6.0 * np.asarray(x, float),
-    )
-    k3 = build_k(g3)
-    k4 = build_k(quartic())
-    x, w = rule200
-    cross = w @ (k3(x) * k4(x))
-    assert abs(cross) < 1e-10
+    x, _ = gaussian_weighted_rule()
+    # the largest |G(x) - G(-x)| sits at the outermost nodes, +-x[0]
+    for g, asymmetry in ((shifted, 1.0), (cubic, 2.0 * abs(x[0]) ** 3)):
+        with pytest.raises(ValueError, match=f"{g.name}: G must be even") as err:
+            build_k(g)
+        assert f"reaches {asymmetry:.3g}" in str(err.value)
+    # every family the CLI offers is even and builds
+    others = [family() for name, family in GFAMILIES.items() if name != "logcosh"]
+    for g in [logcosh(1.0), logcosh(1.5), logcosh(2.0), *others]:
+        assert math.isfinite(build_k(g).delta)
 
 
 def test_c_value_gaussian_sample_near_zero(k_logcosh):

@@ -558,36 +558,6 @@ def test_uniform_mixture_epsilon_validation(k_logcosh):
         uniform_mixture_case(1.0, k_logcosh)
 
 
-def test_asymmetric_g_drives_odd_tilt(rule200):
-    # a shifted nonlinearity has beta != 0 and the solution picks up a
-    # nonzero odd tilt kappa, still with the exact Gaussian point at c = 0
-    from icaprobe.contrast import GFunction, build_k, logcosh
-
-    base = logcosh()
-    shifted = GFunction(
-        name="logcosh-shifted",
-        value=lambda x: base.value(np.asarray(x, float) + 0.5),
-        deriv=lambda x: base.deriv(np.asarray(x, float) + 0.5),
-        deriv2=lambda x: base.deriv2(np.asarray(x, float) + 0.5),
-    )
-    k = build_k(shifted)
-    assert abs(k.beta) > 0.1
-    x, w = rule200
-    kx = k(x)
-    assert max(abs(w @ kx), abs(w @ (x * kx)), abs(w @ (x * x * kx))) < 1e-10
-    d0 = solve_f0(0.0, k)
-    assert abs(d0.kappa) < 1e-12 and abs(d0.a) < 1e-12
-    d = solve_f0(0.08, k)
-    assert d.residual < 1e-10
-    assert abs(d.kappa) > 1e-4  # odd tilt engaged
-    # the minorant certificate holds here too; the bound it proves is sound
-    # but not tight, and an odd K leaves the upper end unproven
-    lo, hi = _feasible_range(k)
-    assert lo == float(k(1.0)) and hi == math.inf
-    with pytest.raises(ConvergenceError):
-        _solve(lo + 1e-3, k, 1e-10, islice(_ladder(), 1, None))
-
-
 def test_logcosh_alpha_two_solves():
     from icaprobe.contrast import build_k, logcosh
 
@@ -717,3 +687,68 @@ def test_an_empty_array_returns_no_solves(monkeypatch):
     calls = _count_dual_newton(monkeypatch)
     assert solve_f0(np.array([]), _K["logcosh(1)"]) == []
     assert calls == []
+
+
+# J[f0](c) is the Legendre transform of the Gaussian cumulant generating
+# function of (x, x^2 - 1, K) at (0, 0, c), which gives three checks that
+# need no stored reference.  Negexp at c >= 0.5 is left out: there the
+# Gauss-Hermite rung's verdict follows rounding, and neighbouring solves
+# can come from different rungs
+DUALITY_CASES = {
+    "logcosh1": (logcosh(1.0), (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2)),
+    "logcosh2": (logcosh(2.0), (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)),
+    "negexp": (negexp(), (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4)),
+    "quartic": (quartic(), (-0.3, -0.25, -0.2, -0.15, -0.1, -0.05)),
+}
+
+
+@pytest.mark.parametrize("name", DUALITY_CASES)
+def test_envelope_identity_and_convexity(name):
+    g, cs = DUALITY_CASES[name]
+    k = build_k(g)
+    h = 1e-4
+    ds = solve_f0(np.array([c + s for c in cs for s in (-h, 0.0, h)]), k)
+    j = []
+    for i, c in enumerate(cs):
+        lo, mid, hi = ds[3 * i:3 * i + 3]
+        # the three solves share a rule, so a rung switch fails here
+        assert lo.rule_size == mid.rule_size == hi.rule_size, c
+        j_lo, j_mid, j_hi = (ETA_1 - d.entropy for d in (lo, mid, hi))
+        # dJ[f0]/dc = a.  The central difference reads J''' h^2 / 6 above
+        # J', up to 1.9e-6 here, and J''' = a'' from the same solves:
+        # Simpson's weights on the three a take that term out.  What is
+        # left is each J's error, the multipliers times the residual of
+        # the moments its solve attains, over 2h
+        slope = (j_hi - j_lo) / (2.0 * h)
+        noise = sum((abs(d.kappa) + abs(d.zeta) + abs(d.a)) * d.residual for d in (lo, hi))
+        assert abs(slope - (lo.a + 4.0 * mid.a + hi.a) / 6.0) <= noise / (2.0 * h) + 1e-9, c
+        assert j_hi - 2.0 * j_mid + j_lo > 0.0, c  # convex in c
+        j.append(j_mid)
+    assert (np.diff(j, 2) > 0.0).all()
+
+
+@pytest.mark.parametrize("name", DUALITY_CASES)
+def test_small_c_coefficients_match_the_third_gaussian_moment_of_k(name, rule200):
+    # J[f0] = c^2/2 - (E_phi[K^3]/6) c^3 + O(c^4) and a = c - (E_phi[K^3]/2)
+    # c^2 + O(c^3).  Each ratio misses its limit by a term linear in c (for
+    # logcosh 1, -0.69644 at c = 0.005 and -0.70363 at -0.005, against
+    # -0.70001), so the ratios at c and c/2 extrapolate to the limit
+    g, _ = DUALITY_CASES[name]
+    k = build_k(g)
+    x, w = rule200
+    k3 = float(w @ k(x) ** 3)
+    if name == "quartic":
+        # K = He_4 / sqrt(24), and the quartic's range of c ends at 0
+        assert k3 == pytest.approx(6.0 * math.sqrt(6.0), rel=1e-14)
+        k3, signs = 6.0 * math.sqrt(6.0), (-1.0,)
+    else:
+        signs = (1.0, -1.0)
+    for sign in signs:
+        c = sign * 0.005
+        cubic, slope = [], []
+        for d in solve_f0(np.array([c, c / 2.0]), k):
+            cubic.append((ETA_1 - d.entropy - 0.5 * d.c**2) / d.c**3)
+            slope.append((d.a - d.c) / d.c**2)
+        for ratio, limit in ((cubic, -k3 / 6.0), (slope, -k3 / 2.0)):
+            assert abs(ratio[0] - limit) > 1e-3 * abs(limit)  # the linear term shows
+            assert 2.0 * ratio[1] - ratio[0] == pytest.approx(limit, rel=1e-3)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from icaprobe import projsearch
 from icaprobe.contrast import (
     build_k,
     c_value,
@@ -19,6 +20,7 @@ from icaprobe.maxent import _feasible_range, solve_f0
 from icaprobe.projsearch import (
     SweepResult,
     UnsupportedDimensionError,
+    mspacing_components,
     optimize_direction,
     sweep,
 )
@@ -411,3 +413,23 @@ def test_mspacing_optimizer_agrees_with_sweep_argmax(banded_data):
     diff = abs(math.atan2(w[0], w[1]) % math.pi - theta_sweep)
     diff = min(diff, math.pi - diff)
     assert diff < math.radians(5.0)
+
+
+def test_mspacing_components_sign_survives_rounding_moves(monkeypatch):
+    # the last row at p = 4 is the SVD complement of the first three, and
+    # its sign follows rounding: moving the found rows by 1e-15 flips it.
+    # Signing each row by its largest-magnitude entry keeps every row
+    mix = np.random.default_rng(4).standard_normal((4, 4))
+    raw, _ = gen_mixed_sources(3000, ["uniform", "gaussian", "two-point", "uniform"], mix, seed=4)
+    data, _ = whiten(raw)
+    W = mspacing_components(data, 4)
+    np.testing.assert_allclose(W[-1], [-0.5479394, -0.4802424, 0.67936242, -0.08715711], atol=1e-7)
+    lead = W[np.arange(4), np.argmax(np.abs(W), axis=1)]
+    assert (lead > 0).all()
+    for scale in (1e-15, 2e-15):
+
+        def nudged(sub, contrast, scale=scale):
+            return optimize_direction(sub, contrast) + scale * np.arange(1, sub.shape[1] + 1)
+
+        monkeypatch.setattr(projsearch, "optimize_direction", nudged)
+        assert np.abs(mspacing_components(data, 4) - W).max() < 1e-14
