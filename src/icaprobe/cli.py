@@ -174,6 +174,7 @@ def cmd_sweep(cfg, out, svg):
     failed = result.f0_failed.astype(int)
     cfg["f0_failed"] = str(failed.sum())
     cfg["f0_newton_iterations"] = str(result.f0_iterations.sum())
+    cfg["f0_halvings"] = str(result.f0_halvings.sum())
     rows = zip(result.thetas, *(result.values[name] for name in ALL_CONTRASTS), failed)
     _write_csv(out, ["theta", *ALL_CONTRASTS, "f0_failed"], rows)
 
@@ -220,10 +221,13 @@ def cmd_densities(cfg, out, svg):
     kde_vals = kde(y, grid)
     c = c_value(y, k)
     failed = 0
+    solve = {"f0_newton_iterations": 0, "f0_halvings": 0, "f0_rule_size": 0}
     try:
         d = solve_f0(c, k)
         f0_vals = d.pdf(grid)
         hat_vals = LinearizedDensity(c=c, k=k).pdf(grid)
+        solve = {"f0_newton_iterations": d.iterations, "f0_halvings": d.halvings,
+                 "f0_rule_size": d.rule_size}
     except ConvergenceError as err:
         print(f"warning: surrogate solver failed ({err}); emitting KDE only", file=sys.stderr)
         failed = 1
@@ -238,6 +242,7 @@ def cmd_densities(cfg, out, svg):
     _svg(svg, lambda: svgplot.overlay(curves, xlabel="x", ylabel="density"), files)
     if p == 2:  # an angle names a direction only in the plane
         cfg["resolved_direction"] = _g17(theta)
+    cfg.update({key: str(v) for key, v in solve.items()})
     return files
 
 
@@ -329,6 +334,7 @@ def cmd_rates(cfg, out, svg):
 #: keys a command adds to its manifest for the record; a replay skips them
 _RECORD_KEYS = {
     "rng", "band_check_frame", "resolved_direction", "f0_failed", "f0_newton_iterations",
+    "f0_halvings", "f0_rule_size",
 }
 
 

@@ -67,24 +67,36 @@ def mspacing_entropy(y, m: int | None = None) -> float:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("sample must be one-dimensional")
-    if not np.all(np.isfinite(y)):
+    m = resolve_m(m, y.shape[0])
+    return _sorted_mspacing_entropy(np.sort(y), m)
+
+
+def _sorted_mspacing_entropy(ys: np.ndarray, m: int) -> float:
+    """:func:`mspacing_entropy` of a sorted 1-d sample with a valid m.
+
+    The spacings are the one n-sized array: ties are clamped, scaled and
+    logged in place.  ``np.sort`` puts NaN last and -inf first, so the two
+    ends tell whether the sample is finite.
+    """
+    if not (math.isfinite(ys[0]) and math.isfinite(ys[-1])):
         raise ValueError("sample must be finite")
-    n = y.shape[0]
-    m = resolve_m(m, n)
-    ys = np.sort(y)
-    spacings = ys[m:] - ys[:-m]
+    n = ys.shape[0]
     span = ys[-1] - ys[0]
     if span <= 0.0:
         raise DegenerateSampleError("all sample values identical")
     floor = TIE_EPS * span
-    clamped = spacings < floor
-    if clamped.mean() > TIE_REJECT_FRACTION:
+    spacings = ys[m:] - ys[:-m]
+    ties = np.count_nonzero(spacings < floor)
+    if ties / spacings.size > TIE_REJECT_FRACTION:
         raise DegenerateSampleError(
-            f"{clamped.mean():.0%} of spacings are ties; sample is not from a "
+            f"{ties / spacings.size:.0%} of spacings are ties; sample is not from a "
             "continuous density"
         )
-    spacings = np.maximum(spacings, floor)
-    return float(np.log(spacings * (n / m)).sum() / n - digamma(m) + math.log(m))
+    if ties:
+        np.maximum(spacings, floor, out=spacings)
+    spacings *= n / m
+    np.log(spacings, out=spacings)
+    return float(spacings.sum() / n - digamma(m) + math.log(m))
 
 
 def mspacing_negentropy(y, m: int | None = None) -> float:
@@ -106,7 +118,9 @@ def kde(y, grid) -> np.ndarray:
     is below exp(-T^2 / 2) and there are at most n of them, so the omitted
     mass is below 2^-53 exp(-d^2 / 2), the nearest sample's own term, which
     the window always holds: the result is the full sum to within 2^-53
-    relative, wherever the grid points are.  Memory is O(n + grid).
+    relative, wherever the grid points are.  Memory is O(n + grid) for the
+    sorted copy and the window bounds, plus two scratch arrays as long as
+    the widest window, which every grid point reuses.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] < 2:
@@ -128,8 +142,15 @@ def kde(y, grid) -> np.ndarray:
     half = h * np.sqrt(d * d + (2.0 * math.log(n) + 106.0 * math.log(2.0)))
     lo = np.searchsorted(ys, grid - half, side="left")
     hi = np.searchsorted(ys, grid + half, side="right")
+    u_buf = np.empty(int((hi - lo).max()))  # the widest window
+    e_buf = np.empty_like(u_buf)
     sums = np.empty(grid.size)
     for i in range(grid.size):
-        u = (grid[i] - ys[lo[i] : hi[i]]) / h
-        sums[i] = np.exp(-0.5 * u * u).sum()
+        u, e = u_buf[: hi[i] - lo[i]], e_buf[: hi[i] - lo[i]]
+        np.subtract(grid[i], ys[lo[i] : hi[i]], out=u)
+        u /= h
+        np.multiply(u, -0.5, out=e)
+        e *= u
+        np.exp(e, out=e)
+        sums[i] = e.sum()
     return sums / (n * h * math.sqrt(2.0 * math.pi))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import GFunction, build_k, gaussian_expectation, logcosh
-from .entropy import ETA_1, mspacing_negentropy, resolve_m
+from .entropy import ETA_1, _sorted_mspacing_entropy, mspacing_negentropy, resolve_m
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
 
@@ -52,6 +52,7 @@ class SweepResult:
     f0_failed: np.ndarray  # bool mask where solve_f0 did not converge
     f0_iterations: np.ndarray  # Newton steps of each J[f0] solve, 0 where it failed
     f0_rule_size: np.ndarray  # nodes of the rule that settled it, 0 where it failed
+    f0_halvings: np.ndarray  # line-search halvings of each J[f0] solve, 0 where it failed
 
     def argmax(self, name: str) -> tuple[float, float]:
         """(theta*, value) of the named contrast, skipping failed entries."""
@@ -74,13 +75,14 @@ def sweep(
     ``g`` (logcosh by default) and one spacing for every m-spacing
     estimate, resolved from ``m`` by :func:`~icaprobe.entropy.resolve_m`
     before the first direction.  Each direction makes one projection
-    y = D w, one sort (the m-spacing estimate) and one pass of G, whose
-    mean gives the fastICA contrast.  The polynomial moments need no pass
-    of their own: mean y^2 and mean y^4 are quadratic and quartic forms in
-    w = (sin theta, cos theta) over the second and fourth moments of D,
-    computed once.  They give the fourth-moment contrast |mean y^4 - 3|
-    and, with mean G(y), the constraint value c = mean K(y) = (mean G(y) +
-    alpha mean y^2 + gamma) / delta, since K is even.  These agree with
+    y = D w and one pass of G over it, whose mean gives the fastICA
+    contrast, and then sorts y in place for the m-spacing estimate.  The
+    polynomial moments need no pass of their own: mean y^2 and mean y^4
+    are quadratic and quartic forms in w = (sin theta, cos theta) over the
+    second and fourth moments of D, computed once.  They give the
+    fourth-moment contrast |mean y^4 - 3| and, with mean G(y), the
+    constraint value c = mean K(y) = (mean G(y) + alpha mean y^2 + gamma)
+    / delta, since K is even.  These agree with
     :func:`~icaprobe.contrast.kurtosis_contrast` and
     :func:`~icaprobe.contrast.c_value` on the projection to rounding for
     whitened D, the sweep's contract.  On data far from the origin or
@@ -107,9 +109,10 @@ def sweep(
     g_means = np.empty(grid_size)
     for i, w in enumerate(ws):
         y = D @ w
-        values["j_mspacing"][i] = mspacing_negentropy(y, m)  # rejects non-finite y
-        g_means[i] = np.mean(g.value(y))
+        g_means[i] = np.mean(g.value(y))  # before the sort: the sum's order is y's
         values["j_hat_star"][i] = (g_means[i] - g_gauss) ** 2
+        y.sort()
+        values["j_mspacing"][i] = ETA_1 - _sorted_mspacing_entropy(y, m)  # rejects non-finite y
     x1, x2 = D[:, 0], D[:, 1]
     x11, x12, x22 = x1 * x1, x1 * x2, x2 * x2
     s, t = ws[:, 0], ws[:, 1]  # sin and cos of theta
@@ -126,16 +129,18 @@ def sweep(
     f0_failed = np.zeros(grid_size, dtype=bool)
     f0_iterations = np.zeros(grid_size, dtype=int)
     f0_rule_size = np.zeros(grid_size, dtype=int)
+    f0_halvings = np.zeros(grid_size, dtype=int)
     for i, d in enumerate(solve_f0(cs, k)):
         if isinstance(d, ConvergenceError):
             values["j_f0"][i] = math.nan
             f0_failed[i] = True
         else:
             values["j_f0"][i] = ETA_1 - d.entropy
-            f0_iterations[i], f0_rule_size[i] = d.iterations, d.rule_size
+            f0_iterations[i], f0_halvings[i] = d.iterations, d.halvings
+            f0_rule_size[i] = d.rule_size
     return SweepResult(
         thetas=thetas, values=values, c=cs, f0_failed=f0_failed,
-        f0_iterations=f0_iterations, f0_rule_size=f0_rule_size,
+        f0_iterations=f0_iterations, f0_rule_size=f0_rule_size, f0_halvings=f0_halvings,
     )
 
 

@@ -130,6 +130,8 @@ def test_densities_reports_the_violated_bound(tmp_path, capsys):
     assert "upper bound 0.213932" in err
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows[:, 4].min() == 1 and np.isnan(rows[:, 2]).all()
+    cfg = read_config(out.with_suffix(".csv.manifest"))  # no solve to count
+    assert cfg["f0_newton_iterations"] == cfg["f0_halvings"] == cfg["f0_rule_size"] == "0"
 
 
 def test_densities_optimized_directions(tmp_path, data_csv):
@@ -499,8 +501,34 @@ def test_sweep_manifest_records_solver_work(tmp_path, data_csv):
     assert cfg["f0_failed"] == str(result.f0_failed.sum()) == "0"
     assert cfg["f0_newton_iterations"] == str(result.f0_iterations.sum())
     assert int(cfg["f0_newton_iterations"]) >= 16
+    assert cfg["f0_halvings"] == str(result.f0_halvings.sum())
     header = out.read_text().splitlines()[0]
     assert header == "theta,j_mspacing,j_f0,j_hat_star,j_kurtosis,f0_failed"
+
+
+def test_densities_manifest_records_its_solve(tmp_path, data_csv):
+    # the Newton steps, halvings and rule size of the one J[f0] solve, kept
+    # out of the CSV; a replay through --config skips them on the way in
+    # and writes them again, so the manifest itself replays
+    from icaprobe.contrast import build_k, c_value, logcosh
+    from icaprobe.maxent import solve_f0
+    from icaprobe.whiten import whiten
+
+    out = tmp_path / "d.csv"
+    assert run("densities", "--data", data_csv, "--direction", 0.7, "--out", out) == 0
+    manifest = out.with_suffix(".csv.manifest")
+    cfg = read_config(manifest)
+    D = whiten(np.loadtxt(data_csv, delimiter=",", skiprows=1))[0]
+    k = build_k(logcosh())
+    d = solve_f0(c_value(D @ np.array([math.sin(0.7), math.cos(0.7)]), k), k)
+    recorded = (cfg["f0_newton_iterations"], cfg["f0_halvings"], cfg["f0_rule_size"])
+    assert recorded == (str(d.iterations), str(d.halvings), str(d.rule_size))
+    assert d.iterations > 0 and d.rule_size > 0
+    replay = tmp_path / "replay" / "d.csv"
+    replay.parent.mkdir()
+    assert run("densities", "--config", manifest, "--out", replay) == 0
+    assert replay.read_bytes() == out.read_bytes()
+    assert replay.with_suffix(".csv.manifest").read_bytes() == manifest.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -235,3 +235,67 @@ def test_empty_sample_rejected(k_logcosh):
         c_value(np.array([]), k_logcosh)
     with pytest.raises(ValueError):
         kurtosis_contrast(np.array([]))
+
+
+def _plain_logcosh(a):
+    """logcosh(a) as plain numpy expressions, a new array at every step."""
+
+    def value(x):
+        ax = np.abs(a * x)
+        return (ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)) / a
+
+    return {
+        "value": value,
+        "deriv": lambda x: np.tanh(a * x),
+        "deriv2": lambda x: a * (1.0 - np.tanh(a * x) ** 2),
+    }
+
+
+_PLAIN_G = {
+    "logcosh1": (logcosh(1.0), _plain_logcosh(1.0)),
+    "logcosh1.5": (logcosh(1.5), _plain_logcosh(1.5)),
+    "logcosh2": (logcosh(2.0), _plain_logcosh(2.0)),
+    "negexp": (negexp(), {
+        "value": lambda x: -np.exp(-0.5 * x * x),
+        "deriv": lambda x: x * np.exp(-0.5 * x * x),
+        "deriv2": lambda x: (1.0 - x * x) * np.exp(-0.5 * x * x),
+    }),
+}
+
+
+def _g_inputs():
+    x = 4.0 * ReproducibleStream(1010).normals(20_000)
+    edges = [0.0, -0.0, 5e-324, -1e-300, 1e-8, -3.5, 20.0, -20.0, 400.0, -800.0]
+    x[: len(edges)] = edges
+    return {
+        "1-d": x,
+        "2-d": x.reshape(100, 200),
+        "2-d transposed": x.reshape(100, 200).T,
+        "2-d strided": x.reshape(100, 200)[:, ::3],
+    }
+
+
+@pytest.mark.parametrize("part", ["value", "deriv", "deriv2"])
+@pytest.mark.parametrize("gname", list(_PLAIN_G))
+def test_g_matches_its_plain_expression_bit_for_bit(gname, part):
+    # each G writes into one array of its own; the bits, the shape and the
+    # layout-free bytes are the plain expression's, the input is left as
+    # it was, and the result shares no memory with it
+    g, plain = _PLAIN_G[gname]
+    for label, x in _g_inputs().items():
+        before = x.copy()
+        got, want = getattr(g, part)(x), plain[part](x)
+        assert got.shape == want.shape and got.dtype == want.dtype, label
+        assert got.tobytes() == want.tobytes(), label
+        assert x.tobytes() == before.tobytes(), label
+        assert not np.shares_memory(got, x), label
+
+
+@pytest.mark.parametrize("part", ["value", "deriv", "deriv2"])
+@pytest.mark.parametrize("gname", list(_PLAIN_G))
+def test_g_of_a_0d_input_is_a_scalar(gname, part):
+    g, plain = _PLAIN_G[gname]
+    for x in (0.37, -2.5, 0, np.float64(1.75), np.array(-0.6)):
+        got, want = getattr(g, part)(x), plain[part](np.asarray(x, dtype=float))
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes()

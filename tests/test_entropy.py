@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from icaprobe.cli import DENSITY_GRID
 from icaprobe.entropy import (
     ETA_1,
+    TIE_EPS,
+    TIE_REJECT_FRACTION,
     digamma,
     gaussian_entropy,
     kde,
@@ -270,3 +272,76 @@ def test_kde_validation(rng):
     with pytest.raises(ValueError, match="grid must be finite"):
         kde(y, np.append(grid, math.nan))
     assert silverman_bandwidth(y) > 0
+
+
+def _plain_mspacing_entropy(y, m=None):
+    """mspacing_entropy as plain numpy expressions, a new array at every
+    step, for a finite sample it accepts."""
+    n = y.shape[0]
+    m = resolve_m(m, n)
+    ys = np.sort(y)
+    spacings = ys[m:] - ys[:-m]
+    floor = TIE_EPS * (ys[-1] - ys[0])
+    assert (spacings < floor).mean() <= TIE_REJECT_FRACTION
+    spacings = np.maximum(spacings, floor)
+    return float(np.log(spacings * (n / m)).sum() / n - digamma(m) + math.log(m))
+
+
+def test_mspacing_matches_its_plain_expression_bit_for_bit():
+    y = ReproducibleStream(1011).normals(5000)
+    ties = y.copy()
+    ties[::20] = ties[1]  # 250 equal values: a run of ties in the spacings
+    spacings = np.sort(ties)[70:] - np.sort(ties)[:-70]  # m = isqrt(5000) = 70
+    share = np.mean(spacings < TIE_EPS * np.ptp(ties))
+    assert 0.0 < share < TIE_REJECT_FRACTION
+    cases = [(y, None), (y, 3), (ties, None), (ties, 30), (np.round(y, 2), None),
+             (y[::-1], None), (y[:9], None)]
+    for sample, m in cases:
+        before = sample.copy()
+        assert mspacing_entropy(sample, m) == _plain_mspacing_entropy(sample, m)
+        assert sample.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 50, -1])
+def test_mspacing_rejects_a_non_finite_value_anywhere(bad, where):
+    # the estimate reads finiteness off the sorted ends: NaN sorts last
+    y = ReproducibleStream(1012).normals(100)
+    y[where] = bad
+    with pytest.raises(ValueError, match="sample must be finite"):
+        mspacing_entropy(y)
+    with pytest.raises(ValueError, match="sample must be finite"):
+        mspacing_negentropy(y, 5)
+
+
+def test_mspacing_rejects_too_few_values_as_bad_input():
+    for y in (np.empty(0), np.array([1.0]), np.arange(3.0), np.arange(8.0)):
+        with pytest.raises(ValueError, match="outside valid range"):
+            mspacing_entropy(y)
+
+
+def _plain_kde(y, grid):
+    """kde's windowed sum as plain numpy expressions, a new array at every
+    step, for a sample and grid it accepts."""
+    h = silverman_bandwidth(y)
+    n = len(y)
+    ys = np.sort(y)
+    right = np.searchsorted(ys, grid).clip(1, n - 1)
+    d = np.minimum(np.abs(grid - ys[right - 1]), np.abs(grid - ys[right])) / h
+    half = h * np.sqrt(d * d + (2.0 * math.log(n) + 106.0 * math.log(2.0)))
+    lo = np.searchsorted(ys, grid - half, side="left")
+    hi = np.searchsorted(ys, grid + half, side="right")
+    sums = np.empty(grid.size)
+    for i in range(grid.size):
+        u = (grid[i] - ys[lo[i] : hi[i]]) / h
+        sums[i] = np.exp(-0.5 * u * u).sum()
+    return sums / (n * h * math.sqrt(2.0 * math.pi))
+
+
+@pytest.mark.parametrize("n", [50, 2000, 100_000])
+def test_kde_matches_its_plain_expression_bit_for_bit(n):
+    # the window scratch is reused across grid points; a point far out
+    # takes a short window after a long one, which must not see stale values
+    y = ReproducibleStream(1013).normals(n)
+    grid = np.concatenate([DENSITY_GRID, [-40.0, 40.0, 0.0, y.max() + 1.0]])
+    assert np.array_equal(kde(y, grid), _plain_kde(y, grid))

@@ -196,8 +196,8 @@ def test_sweep_solves_every_direction_in_one_call(banded_data, monkeypatch):
 
 
 def test_sweep_reports_solver_work(outlier_data):
-    # per direction: the Newton steps and the rule size of the solve of
-    # res.c, 0 where the solve failed.  The solve counts are those of the
+    # per direction: the Newton steps, line-search halvings and rule size
+    # of the solve of res.c, 0 where the solve failed.  The solve counts are those of the
     # sweep's own c: near the upper bound (row 13, c ~ 0.189) c_value's c,
     # which differs only by rounding, takes 26 Newton steps against 23
     res = sweep(outlier_data, grid_size=16)
@@ -205,10 +205,11 @@ def test_sweep_reports_solver_work(outlier_data):
     k = build_k(logcosh())
     for i in range(len(res.thetas)):
         if res.f0_failed[i]:
-            assert res.f0_iterations[i] == 0 and res.f0_rule_size[i] == 0
+            assert res.f0_iterations[i] == res.f0_halvings[i] == res.f0_rule_size[i] == 0
             continue
         d = solve_f0(res.c[i], k)
-        assert (res.f0_iterations[i], res.f0_rule_size[i]) == (d.iterations, d.rule_size)
+        got = (res.f0_iterations[i], res.f0_halvings[i], res.f0_rule_size[i])
+        assert got == (d.iterations, d.halvings, d.rule_size)
     assert res.f0_rule_size.max() > 0
 
 
@@ -220,6 +221,7 @@ def test_sweep_argmax_skips_failures():
         f0_failed=np.array([False, True, False]),
         f0_iterations=np.array([2, 0, 3]),
         f0_rule_size=np.array([200, 0, 200]),
+        f0_halvings=np.array([0, 0, 1]),
     )
     theta, val = res.argmax("j_f0")
     assert theta == 0.0 and val == 0.5
@@ -353,6 +355,17 @@ def test_grid_refinement_monotone(banded_data):
 def test_sweep_validation(gaussian_data):
     with pytest.raises(ValueError):
         sweep(gaussian_data, grid_size=4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_non_finite_data(gaussian_data, bad):
+    # each projection is sorted in place, and its sorted ends tell.  The
+    # value sits in the second column, which theta = 0 takes whole; the
+    # first column times sin 0 = 0 would make inf a NaN with a warning
+    D = gaussian_data.copy()
+    D[7, 1] = bad
+    with pytest.raises(ValueError, match="sample must be finite"):
+        sweep(D, grid_size=8)
 
 
 def test_sweep_flags_solver_failures_as_gaps(outlier_data):
