@@ -51,27 +51,16 @@ def logcosh(alpha: float = 1.0) -> GFunction:
     return _logcosh(float(alpha))
 
 
-def _scaled(x: np.ndarray, s) -> np.ndarray:
-    """s * x in a new array shaped like x, 0-d included, for in-place use."""
-    return np.multiply(x, s, out=np.empty_like(x))
-
-
-def _result(out: np.ndarray):
-    """out, or its scalar when out is 0-d, as a ufunc returns for 0-d input."""
-    return out if out.ndim else out[()]
-
-
-# The G families write each result into one new array and take no other
-# n-sized temporary, with the arithmetic in the order of the plain
-# expressions, so every value is bit for bit theirs.  The factories are
-# memoized so that equal arguments give the same GFunction, and the caches
-# keyed by K (the feasible range) hit across calls.
+# The factories are memoized so that equal arguments give the same GFunction,
+# and the caches keyed by K (the feasible range) hit across calls.
 @cache
 def _logcosh(a: float) -> GFunction:
     def value(x):
         x = np.asarray(x, dtype=float)
-        # log cosh(ax) = |ax| + log((1 + exp(-2|ax|)) / 2), overflow-safe;
-        # at a = 1 the product a * x and the division by a are exact no-ops
+        # log cosh(ax) = |ax| + log((1 + exp(-2|ax|)) / 2), overflow-safe.
+        # The steps after |ax| run in place in one result array, in the plain
+        # expression's order, so the bits are its bits; at a = 1 the product
+        # a * x and the division by a are exact no-ops and are skipped
         ax = np.abs(x if a == 1.0 else a * x)
         out = np.multiply(ax, -2.0, out=np.empty_like(ax))
         np.exp(out, out=out)
@@ -80,48 +69,31 @@ def _logcosh(a: float) -> GFunction:
         out -= math.log(2.0)
         if a != 1.0:
             out /= a
-        return _result(out)
+        return out if out.ndim else out[()]  # a scalar for 0-d x, as a ufunc gives
 
-    def deriv(x):
-        t = _scaled(np.asarray(x, dtype=float), a)
-        return _result(np.tanh(t, out=t))
-
-    def deriv2(x):
-        t = _scaled(np.asarray(x, dtype=float), a)
-        np.tanh(t, out=t)
-        np.square(t, out=t)
-        np.subtract(1.0, t, out=t)
-        t *= a
-        return _result(t)
-
-    return GFunction(name=f"logcosh({a:g})", value=value, deriv=deriv, deriv2=deriv2)
+    return GFunction(
+        name=f"logcosh({a:g})",
+        value=value,
+        deriv=lambda x: np.tanh(a * np.asarray(x, dtype=float)),
+        deriv2=lambda x: a * (1.0 - np.tanh(a * np.asarray(x, dtype=float)) ** 2),
+    )
 
 
 @cache
 def negexp() -> GFunction:
     """G(x) = -exp(-x^2 / 2)."""
 
-    def gauss(x):  # exp(-0.5 * x * x), in a new array
-        e = _scaled(x, -0.5)
-        e *= x
-        return np.exp(e, out=e)
-
     def value(x):
-        e = gauss(np.asarray(x, dtype=float))
-        return _result(np.negative(e, out=e))
+        x = np.asarray(x, dtype=float)
+        return -np.exp(-0.5 * x * x)
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
-        e = gauss(x)
-        e *= x
-        return _result(e)
+        return x * np.exp(-0.5 * x * x)
 
     def deriv2(x):
         x = np.asarray(x, dtype=float)
-        t = _scaled(x, x)  # x * x
-        np.subtract(1.0, t, out=t)
-        t *= gauss(x)
-        return _result(t)
+        return (1.0 - x * x) * np.exp(-0.5 * x * x)
 
     return GFunction(name="negexp", value=value, deriv=deriv, deriv2=deriv2)
 

@@ -67,24 +67,19 @@ def mspacing_entropy(y, m: int | None = None) -> float:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("sample must be one-dimensional")
-    m = resolve_m(m, y.shape[0])
-    return _sorted_mspacing_entropy(np.sort(y), m)
-
-
-def _sorted_mspacing_entropy(ys: np.ndarray, m: int) -> float:
-    """:func:`mspacing_entropy` of a sorted 1-d sample with a valid m.
-
-    The spacings are the one n-sized array: ties are clamped, scaled and
-    logged in place.  ``np.sort`` puts NaN last and -inf first, so the two
-    ends tell whether the sample is finite.
-    """
+    n = y.shape[0]
+    m = resolve_m(m, n)
+    ys = np.sort(y)
+    # np.sort puts NaN last and -inf first, so the two ends tell whether
+    # the sample is finite
     if not (math.isfinite(ys[0]) and math.isfinite(ys[-1])):
         raise ValueError("sample must be finite")
-    n = ys.shape[0]
     span = ys[-1] - ys[0]
     if span <= 0.0:
         raise DegenerateSampleError("all sample values identical")
     floor = TIE_EPS * span
+    # the spacings are clamped (only when there are ties), scaled and
+    # logged in place, in the order of the plain expression
     spacings = ys[m:] - ys[:-m]
     ties = np.count_nonzero(spacings < floor)
     if ties / spacings.size > TIE_REJECT_FRACTION:

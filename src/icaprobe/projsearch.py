@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast import GFunction, build_k, gaussian_expectation, logcosh
-from .entropy import ETA_1, _sorted_mspacing_entropy, mspacing_negentropy, resolve_m
+from .entropy import ETA_1, mspacing_negentropy, resolve_m
 from .errors import ConvergenceError, OptimizationError
 from .maxent import solve_f0
 
@@ -75,14 +75,13 @@ def sweep(
     ``g`` (logcosh by default) and one spacing for every m-spacing
     estimate, resolved from ``m`` by :func:`~icaprobe.entropy.resolve_m`
     before the first direction.  Each direction makes one projection
-    y = D w and one pass of G over it, whose mean gives the fastICA
-    contrast, and then sorts y in place for the m-spacing estimate.  The
-    polynomial moments need no pass of their own: mean y^2 and mean y^4
-    are quadratic and quartic forms in w = (sin theta, cos theta) over the
-    second and fourth moments of D, computed once.  They give the
-    fourth-moment contrast |mean y^4 - 3| and, with mean G(y), the
-    constraint value c = mean K(y) = (mean G(y) + alpha mean y^2 + gamma)
-    / delta, since K is even.  These agree with
+    y = D w, one sort (the m-spacing estimate) and one pass of G, whose
+    mean gives the fastICA contrast.  The polynomial moments need no pass
+    of their own: mean y^2 and mean y^4 are quadratic and quartic forms in
+    w = (sin theta, cos theta) over the second and fourth moments of D,
+    computed once.  They give the fourth-moment contrast |mean y^4 - 3|
+    and, with mean G(y), the constraint value c = mean K(y) = (mean G(y) +
+    alpha mean y^2 + gamma) / delta, since K is even.  These agree with
     :func:`~icaprobe.contrast.kurtosis_contrast` and
     :func:`~icaprobe.contrast.c_value` on the projection to rounding for
     whitened D, the sweep's contract.  On data far from the origin or
@@ -109,10 +108,9 @@ def sweep(
     g_means = np.empty(grid_size)
     for i, w in enumerate(ws):
         y = D @ w
-        g_means[i] = np.mean(g.value(y))  # before the sort: the sum's order is y's
+        values["j_mspacing"][i] = mspacing_negentropy(y, m)  # rejects non-finite y
+        g_means[i] = np.mean(g.value(y))
         values["j_hat_star"][i] = (g_means[i] - g_gauss) ** 2
-        y.sort()
-        values["j_mspacing"][i] = ETA_1 - _sorted_mspacing_entropy(y, m)  # rejects non-finite y
     x1, x2 = D[:, 0], D[:, 1]
     x11, x12, x22 = x1 * x1, x1 * x2, x2 * x2
     s, t = ws[:, 0], ws[:, 1]  # sin and cos of theta
