@@ -19,6 +19,10 @@ w and -w score alike; :func:`build_k` rejects any other G.  From K come
 the sample constraint value c = mean K(y), the final fastICA contrast
 (mean G(y) - E[G(Z)])^2, the fourth-moment contrast, and the Taylor-level
 negentropy (1/2)||c||^2.
+
+Each G also carries ``derivs(x)``, returning G'(x) and G''(x) together:
+fastICA's fixed-point step needs both at the same points, and logcosh and
+negexp compute their shared factor, tanh(a x) or exp(-x^2 / 2), once.
 """
 
 from __future__ import annotations
@@ -35,12 +39,11 @@ from .quadrature import gaussian_weighted_rule
 
 @dataclass(frozen=True)
 class GFunction:
-    """A contrast nonlinearity with first and second derivatives."""
+    """A contrast nonlinearity G; ``derivs(x)`` returns (G'(x), G''(x))."""
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    deriv2: Callable[[np.ndarray], np.ndarray]
+    derivs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     quadratic_growth: bool = True  # |G(x)| <= B (1 + x^2)
 
 
@@ -71,12 +74,11 @@ def _logcosh(a: float) -> GFunction:
             out /= a
         return out if out.ndim else out[()]  # a scalar for 0-d x, as a ufunc gives
 
-    return GFunction(
-        name=f"logcosh({a:g})",
-        value=value,
-        deriv=lambda x: np.tanh(a * np.asarray(x, dtype=float)),
-        deriv2=lambda x: a * (1.0 - np.tanh(a * np.asarray(x, dtype=float)) ** 2),
-    )
+    def derivs(x):
+        t = np.tanh(a * np.asarray(x, dtype=float))
+        return t, a * (1.0 - t**2)
+
+    return GFunction(name=f"logcosh({a:g})", value=value, derivs=derivs)
 
 
 @cache
@@ -87,15 +89,12 @@ def negexp() -> GFunction:
         x = np.asarray(x, dtype=float)
         return -np.exp(-0.5 * x * x)
 
-    def deriv(x):
+    def derivs(x):
         x = np.asarray(x, dtype=float)
-        return x * np.exp(-0.5 * x * x)
+        e = np.exp(-0.5 * x * x)
+        return x * e, (1.0 - x * x) * e
 
-    def deriv2(x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x * x) * np.exp(-0.5 * x * x)
-
-    return GFunction(name="negexp", value=value, deriv=deriv, deriv2=deriv2)
+    return GFunction(name="negexp", value=value, derivs=derivs)
 
 
 @cache
@@ -104,8 +103,8 @@ def quartic() -> GFunction:
     return GFunction(
         name="quartic",
         value=lambda x: np.asarray(x, dtype=float) ** 4,
-        deriv=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
-        deriv2=lambda x: 12.0 * np.asarray(x, dtype=float) ** 2,
+        derivs=lambda x: (4.0 * np.asarray(x, dtype=float) ** 3,
+                          12.0 * np.asarray(x, dtype=float) ** 2),
         quadratic_growth=False,
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import GFunction, gaussian_expectation
+from .contrast import GFunction, fastica_contrast
 from .errors import StepDegenerateError
 from .rng import ReproducibleStream
 
@@ -46,8 +46,8 @@ class Loadings:
 
 def fixed_point_step(w: np.ndarray, D: np.ndarray, g: GFunction) -> np.ndarray:
     """One fastICA fixed-point update of a unit direction in whitened data D."""
-    y = D @ w
-    update = D.T @ g.deriv(y) / D.shape[0] - float(np.mean(g.deriv2(y))) * w
+    d1, d2 = g.derivs(D @ w)
+    update = D.T @ d1 / D.shape[0] - float(np.mean(d2)) * w
     norm = float(np.linalg.norm(update))
     if norm < 1e-12:
         raise StepDegenerateError("fixed-point update collapsed to zero")
@@ -74,7 +74,6 @@ def deflation(D: np.ndarray, n_components: int, g: GFunction, seed: int) -> Load
         raise ValueError("n_components must be >= 1")
     if n_components > p:
         raise ValueError(f"asked for {n_components} components in {p} dimensions")
-    baseline = float(gaussian_expectation(g))
     stream = ReproducibleStream(seed)
     accepted: list[np.ndarray] = []
     conv_flags = []
@@ -105,7 +104,7 @@ def deflation(D: np.ndarray, n_components: int, g: GFunction, seed: int) -> Load
             except StepDegenerateError:
                 continue
             if converged:
-                contrast = (float(np.mean(g.value(D @ w))) - baseline) ** 2
+                contrast = fastica_contrast(D @ w, g)
                 if best is None or contrast > best[0]:
                     best = (contrast, w, iters)
             else:

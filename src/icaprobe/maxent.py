@@ -559,17 +559,17 @@ def _lower_end(k: KFunction) -> float:
     +-60 r grows, because its leading power has a positive coefficient
     (l2 < tail_coeff for a quadratic tail) and its slope points outward.
     """
-    l2 = 0.5 * float(k.g.deriv(1.0) + 2.0 * k.alpha) / k.delta
+    l2 = 0.5 * float(k.g.derivs(1.0)[0] + 2.0 * k.alpha) / k.delta
     if k.tail_degree == 2 and not l2 < k.tail_coeff:
         return -math.inf
     h = 1.0 / 256.0
     x = np.linspace(-60.0, 60.0, 120 * 256 + 1)
     k1 = float(k(1.0))
     r = k(x) - k1 - l2 * (x * x - 1.0)
-    curv = np.abs((k.g.deriv2(x) + 2.0 * k.alpha) / k.delta - 2.0 * l2)
+    curv = np.abs((k.g.derivs(x)[1] + 2.0 * k.alpha) / k.delta - 2.0 * l2)
     low = np.minimum(r[:-1], r[1:]) - 0.25 * h * h * np.maximum(curv[:-1], curv[1:])
     ends = np.array([-60.0, 60.0])
-    slope = (k.g.deriv(ends) + 2.0 * k.alpha * ends) / k.delta - 2.0 * l2 * ends
+    slope = (k.g.derivs(ends)[0] + 2.0 * k.alpha * ends) / k.delta - 2.0 * l2 * ends
     if low.min() < -_RANGE_MARGIN or not (slope[0] < 0.0 < slope[1]):
         return -math.inf
     return k1
@@ -630,9 +630,9 @@ def solve_f0(c, k: KFunction, tol: float = 1e-10):
 
     A scalar c returns its :class:`SurrogateDensity` or raises; a 1-d c
     returns a list with one entry per c, the solve or the
-    :class:`ConvergenceError` the scalar call would raise.  A non-finite c
-    anywhere, or c with more than one dimension, raises ValueError before
-    any Newton run.  A c farther than 1e-4 past the proven range of E[K]
+    :class:`ConvergenceError` the scalar call would raise.  A tol that is
+    not positive and finite, a non-finite c anywhere, or c with more than
+    one dimension raises ValueError before any Newton run.  A c farther than 1e-4 past the proven range of E[K]
     gets :class:`InfeasibleConstraintError`, also before any Newton run.
     Then the ladder of the module docstring runs on the rest together:
     the Gauss-Hermite rung, then Simpson grids on the density support,
@@ -642,8 +642,8 @@ def solve_f0(c, k: KFunction, tol: float = 1e-10):
     guard violation on any rung, gives :class:`ConvergenceError`; no
     unverified solve is returned.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     cs = np.asarray(c, dtype=float)
     if cs.ndim > 1:
         raise ValueError(f"c must be a scalar or a 1-d array, got shape {cs.shape}")

@@ -226,7 +226,8 @@ def integrate_interval(
     *,
     initial_panels: int = 16,
 ) -> float:
-    """Integrate f over [lo, hi] to absolute tolerance tol.
+    """Integrate f over [lo, hi] to absolute tolerance tol, which must be
+    positive and finite.
 
     ``f`` is vectorized: it maps an array of points to an array of values
     of the same shape, and whatever it raises propagates.
@@ -239,8 +240,8 @@ def integrate_interval(
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n = int(initial_panels)
     if n % 2:
         n += 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from icaprobe.contrast import (
     quartic,
 )
 from icaprobe.errors import DegenerateGError
+from icaprobe.fastica import fixed_point_step
 from icaprobe.quadrature import gaussian_weighted_rule
 from icaprobe.rng import ReproducibleStream
 
@@ -74,8 +76,7 @@ def test_pure_quadratic_is_degenerate():
     g = GFunction(
         name="square",
         value=lambda x: np.asarray(x, float) ** 2,
-        deriv=lambda x: 2.0 * np.asarray(x, float),
-        deriv2=lambda x: np.full_like(np.asarray(x, float), 2.0),
+        derivs=lambda x: (2.0 * np.asarray(x, float), np.full_like(np.asarray(x, float), 2.0)),
     )
     with pytest.raises(DegenerateGError):
         build_k(g)
@@ -83,11 +84,15 @@ def test_pure_quadratic_is_degenerate():
 
 def test_build_k_invariant_to_quadratic_shifts(k_logcosh):
     base = logcosh()
+
+    def derivs(x):
+        d1, d2 = base.derivs(x)
+        return d1 + 1.4 * np.asarray(x, float), d2 + 1.4
+
     shifted = GFunction(
         name="logcosh+quad",
         value=lambda x: base.value(x) + 0.7 * np.asarray(x, float) ** 2 + 2.1,
-        deriv=lambda x: base.deriv(x) + 1.4 * np.asarray(x, float),
-        deriv2=lambda x: base.deriv2(x) + 1.4,
+        derivs=derivs,
     )
     k2 = build_k(shifted)
     grid = np.linspace(-8, 8, 501)
@@ -99,14 +104,12 @@ def test_build_k_rejects_a_g_that_is_not_even():
     shifted = GFunction(
         name="logcosh-shifted",
         value=lambda x: base.value(np.asarray(x, float) + 0.5),
-        deriv=lambda x: base.deriv(np.asarray(x, float) + 0.5),
-        deriv2=lambda x: base.deriv2(np.asarray(x, float) + 0.5),
+        derivs=lambda x: base.derivs(np.asarray(x, float) + 0.5),
     )
     cubic = GFunction(
         name="cubic",
         value=lambda x: np.asarray(x, float) ** 3,
-        deriv=lambda x: 3.0 * np.asarray(x, float) ** 2,
-        deriv2=lambda x: 6.0 * np.asarray(x, float),
+        derivs=lambda x: (3.0 * np.asarray(x, float) ** 2, 6.0 * np.asarray(x, float)),
     )
     x, _ = gaussian_weighted_rule()
     # the largest |G(x) - G(-x)| sits at the outermost nodes, +-x[0]
@@ -260,7 +263,19 @@ _PLAIN_G = {
         "deriv": lambda x: x * np.exp(-0.5 * x * x),
         "deriv2": lambda x: (1.0 - x * x) * np.exp(-0.5 * x * x),
     }),
+    "quartic": (quartic(), {
+        "value": lambda x: x**4,
+        "deriv": lambda x: 4.0 * x**3,
+        "deriv2": lambda x: 12.0 * x**2,
+    }),
 }
+
+
+def _part(g, part):
+    """g's value, or the entry of ``derivs`` holding G' or G''."""
+    if part == "value":
+        return g.value
+    return lambda x: g.derivs(x)[{"deriv": 0, "deriv2": 1}[part]]
 
 
 def _g_inputs():
@@ -284,7 +299,7 @@ def test_g_matches_its_plain_expression_bit_for_bit(gname, part):
     g, plain = _PLAIN_G[gname]
     for label, x in _g_inputs().items():
         before = x.copy()
-        got, want = getattr(g, part)(x), plain[part](x)
+        got, want = _part(g, part)(x), plain[part](x)
         assert got.shape == want.shape and got.dtype == want.dtype, label
         assert got.tobytes() == want.tobytes(), label
         assert x.tobytes() == before.tobytes(), label
@@ -296,6 +311,19 @@ def test_g_matches_its_plain_expression_bit_for_bit(gname, part):
 def test_g_of_a_0d_input_is_a_scalar(gname, part):
     g, plain = _PLAIN_G[gname]
     for x in (0.37, -2.5, 0, np.float64(1.75), np.array(-0.6)):
-        got, want = getattr(g, part)(x), plain[part](np.asarray(x, dtype=float))
+        got, want = _part(g, part)(x), plain[part](np.asarray(x, dtype=float))
         assert type(got) is type(want) is np.float64
         assert got.tobytes() == want.tobytes()
+
+
+def test_fixed_point_step_makes_one_derivs_call_per_step(rng):
+    base = logcosh()
+    calls = []
+    counted = replace(base, name="counted", derivs=lambda x: calls.append(1) or base.derivs(x))
+    D = rng.standard_normal((500, 2))
+    w = np.array([0.6, 0.8])
+    for step in range(1, 4):
+        w_next = fixed_point_step(w, D, counted)
+        assert len(calls) == step
+        assert w_next.tobytes() == fixed_point_step(w, D, base).tobytes()
+        w = w_next

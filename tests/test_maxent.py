@@ -683,6 +683,15 @@ def test_nan_anywhere_in_an_array_is_rejected_before_any_newton_run(where, monke
     assert calls == []
 
 
+def test_a_tol_that_is_not_finite_is_rejected_before_any_newton_run(monkeypatch):
+    # an infinite tol would pass the start point off as a verified solve
+    calls = _count_dual_newton(monkeypatch)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_f0(0.05, _K["logcosh(1)"], tol=tol)
+    assert calls == []
+
+
 def test_an_empty_array_returns_no_solves(monkeypatch):
     calls = _count_dual_newton(monkeypatch)
     assert solve_f0(np.array([]), _K["logcosh(1)"]) == []

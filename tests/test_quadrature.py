@@ -233,6 +233,13 @@ def test_interval_rejects_bad_arguments():
         integrate_interval(lambda x: x, 0.0, 1.0, -1.0)
 
 
+def test_interval_rejects_a_tol_that_is_not_finite():
+    # an infinite tol would return the first 64-panel estimate unchecked
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            integrate_interval(lambda x: x, 0.0, 1.0, tol)
+
+
 def test_interval_accuracy_failure_carries_best_estimate(monkeypatch):
     # oscillation far too fast for the point budget never stabilizes
     points = []
