@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -463,30 +464,32 @@ def test_svg_outputs_deterministic(tmp_path, data_csv):
     assert svgs[0] == svgs[1]
 
 
-def test_cli_import_loads_no_scipy_until_a_stream_samples():
-    # scipy.special costs more to import than a typical command's work;
-    # only sampling (ndtri) may load it, and only when it samples.  Both
-    # Gauss-Hermite rules are built first, so a rule build that reaches
-    # for scipy (eigh_tridiagonal, roots_hermite) fails here too
-    probe = (
-        "import sys, icaprobe.cli\n"
-        "from icaprobe.quadrature import gaussian_weighted_rule\n"
-        "gaussian_weighted_rule(200), gaussian_weighted_rule(400)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "from icaprobe.rng import ReproducibleStream\n"
-        "ReproducibleStream(0).normals(1)\n"
-        "print('scipy.special' in sys.modules)\n"
-    )
+def _run_python(code, *args):
     src = str(Path(icaprobe.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
+        timeout=300,
     ).stdout.splitlines()
-    assert out == ["[]", "True"]
+
+
+def test_cli_import_and_sampling_load_no_scipy():
+    # numpy is the only run-time dependency: the inverse normal CDF is the
+    # package's own port, so neither the import, nor a rule build, nor a
+    # draw of normals or of a direction loads any scipy module
+    probe = (
+        "import sys, icaprobe.cli\n"
+        "from icaprobe.quadrature import gaussian_weighted_rule\n"
+        "gaussian_weighted_rule(200), gaussian_weighted_rule(400)\n"
+        "from icaprobe.rng import ReproducibleStream\n"
+        "ReproducibleStream(0).normals(1000), ReproducibleStream(0).unit_vector(3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _run_python(probe) == ["[]"]
 
 
 def test_sweep_manifest_records_solver_work(tmp_path, data_csv):
@@ -614,3 +617,29 @@ def test_every_command_replays_from_its_manifest(tmp_path, data_csv, three_colum
     assert len(names) >= 2
     for f in names:
         assert (first / f).read_bytes() == (replay / f).read_bytes(), f
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path, data_csv, three_column_csv):
+    # with `import scipy` made to fail, each command exits 0 and writes the
+    # same CSV bytes as a run in this process, where scipy may be loaded
+    runs = {
+        name.replace(" ", "_").replace("=", ""): [
+            str({"{2}": data_csv, "{3}": three_column_csv}.get(a, a)) for a in argv
+        ]
+        for name, argv in _REPLAYS.items()
+    }
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    blocked.mkdir()
+    free.mkdir()
+    probe = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from icaprobe.cli import main\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    print(name, main([*argv, '--out', f'{sys.argv[2]}/{name}.csv']))\n"
+    )
+    out = _run_python(probe, json.dumps(runs), str(blocked))
+    assert out == [f"{name} 0" for name in runs]
+    for name, argv in runs.items():
+        assert run(*argv, "--out", free / f"{name}.csv") == 0
+        assert (blocked / f"{name}.csv").read_bytes() == (free / f"{name}.csv").read_bytes(), name
