@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,18 @@ def _write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join(_g17(v) if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")
+
+
+#: Rows converted to Python floats at a time by :func:`_array_rows`.
+_CSV_BLOCK = 4096
+
+
+def _array_rows(a: np.ndarray):
+    """The rows of a 2-d array as lists of Python floats, one block of rows
+    at a time, so that no n-sized list of rows is built."""
+    return chain.from_iterable(
+        a[i : i + _CSV_BLOCK].tolist() for i in range(0, len(a), _CSV_BLOCK)
+    )
 
 
 def _parse_bands(text: str) -> tuple:
@@ -157,7 +170,7 @@ def cmd_generate(cfg, out, svg):
         max_rounds=int(cfg["max_rounds"]),
     )
     data = datagen.gen_banded_gaussian(gen_cfg)
-    _write_csv(out, ["x1", "x2"], [(float(a), float(b)) for a, b in data])
+    _write_csv(out, ["x1", "x2"], _array_rows(data))
     files = [out]
     _svg(svg, lambda: svgplot.scatter(data[:, 0], data[:, 1], xlabel="x1", ylabel="x2"), files)
     cfg["rng"] = datagen.RNG_ALGORITHM

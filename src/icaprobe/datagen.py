@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GenerationError
 from .rng import ALGORITHM as RNG_ALGORITHM
-from .rng import ReproducibleStream
+from .rng import ReproducibleStream, _integer
 from .whiten import whiten
 
 #: Frame in which band membership is evaluated (see module docstring).
@@ -55,6 +55,8 @@ class GenConfig:
             if hi1 > lo2:
                 raise ValueError("bands must be pairwise disjoint")
         object.__setattr__(self, "bands", bands)
+        for name in ("n", "max_rounds"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 10:
             raise ValueError("n must be >= 10")
         if self.max_rounds < 1:
@@ -83,13 +85,14 @@ def gen_banded_gaussian(cfg: GenConfig) -> np.ndarray:
         in_band = _in_band(pts[:, 0], cfg.bands)
         if not in_band.any() and len(pts) == cfg.n:
             return pts
-        survivors = pts[~in_band]
-        if len(survivors) < 3:
+        # rebinding drops the old sample before whitening allocates its own
+        pts = pts[~in_band]
+        if len(pts) < 3:
             raise GenerationError(
                 "bands remove almost every point; widen the acceptance region",
-                achieved=len(survivors),
+                achieved=len(pts),
             )
-        pts, _ = whiten(survivors)
+        pts, _ = whiten(pts)
         need = cfg.n - len(pts)
         if need > 0:
             pts = np.vstack([pts, draw(need)])
@@ -114,6 +117,7 @@ def gen_mixed_sources(n: int, kinds, mixing, seed: int = 0) -> tuple[np.ndarray,
     Returns the observed data (rows = observations of A s) and the true
     mixing matrix A = ``mixing``, square and nonsingular.
     """
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("n must be >= 2")
     for kind in kinds:

@@ -16,6 +16,13 @@ run-time dependency.  Its two tail logarithms, log y and log x, are taken
 per element with ``math.log``, the C library's log that Cephes calls:
 numpy's vectorised log may differ from it in the last bit, and with it
 some tail deviates would.
+
+``normals`` draws its uniforms in blocks of :data:`_NORMAL_BLOCK` and fills
+one output array, so that ``_ndtri``'s temporaries and its per-element log
+lists are bounded by the block, not by n.  The blocks leave the stream
+unchanged: every uniform is one 64-bit Philox draw, and the generator keeps
+its position between calls, so k uniforms drawn in blocks are the k drawn
+by one call, and each deviate depends on its own uniform only.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ import numpy as np
 ALGORITHM = "philox4x64-u53-ndtri/v1"
 
 _U53 = np.uint64(1) << np.uint64(53)
+
+#: Uniforms turned into normals per step of :meth:`ReproducibleStream.normals`.
+_NORMAL_BLOCK = 1 << 16
 
 # Cephes ndtri.c: exp(-2), sqrt(2 pi), and the rational approximations,
 # highest power first; each denominator has an implied leading 1.
@@ -113,14 +123,19 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; a float, even 2000.0, is rejected, not cut."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class ReproducibleStream:
     """Stateful deterministic stream of uniforms and normals."""
 
     def __init__(self, seed: int):
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        seed = _integer("seed", seed)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         self.seed = seed
@@ -136,8 +151,13 @@ class ReproducibleStream:
         return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normal deviates via the inverse CDF."""
-        return _ndtri(self.uniforms(n))
+        """n standard normal deviates via the inverse CDF, one block of
+        uniforms at a time."""
+        out = np.empty(n)
+        for start in range(0, n, _NORMAL_BLOCK):
+            stop = min(start + _NORMAL_BLOCK, n)
+            out[start:stop] = _ndtri(self.uniforms(stop - start))
+        return out
 
     def unit_vector(self, p: int) -> np.ndarray:
         """A direction uniform on the (p-1)-sphere."""

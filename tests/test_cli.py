@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,29 @@ def test_generate_manifest_replay(tmp_path):
     replay = tmp_path / "replay.csv"
     assert run("generate", "--config", manifest, "--out", replay) == 0
     assert first.read_bytes() == replay.read_bytes()
+
+
+def test_generate_at_n_1e5_is_pinned(tmp_path):
+    # 2e5 normals span four sampler blocks and 25 CSV row blocks, which the
+    # small-n pins above never cross
+    out = tmp_path / "points.csv"
+    assert run("generate", "--n", 100_000, "--seed", 42, "--out", out) == 0
+    assert sha256_file(out) == "a1dceb879f30c049c789575a6cfabab2de7ab65b89da10430a2f5dfe8a181a2c"
+
+
+def test_generate_memory_is_a_few_arrays_of_the_sample(tmp_path):
+    # the (n, 2) float64 sample is 1.6 MB; a list of n row tuples would add
+    # ~10 MB, and normals drawn in one call ~4 sample sizes of temporaries
+    n = 100_000
+    out = tmp_path / "points.csv"
+    run("generate", "--n", 200, "--out", out)  # first-call costs stay out of the peak
+    tracemalloc.start()
+    try:
+        assert run("generate", "--n", n, "--seed", 42, "--out", out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * n
 
 
 def test_sweep_small_grid(tmp_path, data_csv):

@@ -74,6 +74,27 @@ def test_gen_config_validation():
         GenConfig(n=100, max_rounds=0)
 
 
+@pytest.mark.parametrize("bad", [{"n": 2000.0}, {"n": np.float64(2000)}, {"max_rounds": 3.5},
+                                 {"max_rounds": 3.0}, {"n": "2000"}])
+def test_gen_config_rejects_a_count_that_is_not_an_integer(bad):
+    # a float n used to pass and then fail inside numpy with a TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        GenConfig(**bad)
+
+
+def test_gen_config_takes_python_and_numpy_integers():
+    cfg = GenConfig(n=np.int64(50), max_rounds=np.int32(100), seed=3)
+    assert type(cfg.n) is int and type(cfg.max_rounds) is int
+    assert cfg == GenConfig(n=50, max_rounds=100, seed=3)
+    assert gen_banded_gaussian(cfg).shape == (50, 2)
+
+
+@pytest.mark.parametrize("n", [50.0, np.float64(50), "50"])
+def test_mixed_sources_reject_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        gen_mixed_sources(n, ["uniform", "gaussian"], np.eye(2))
+
+
 def test_metadata_constants_exported():
     assert "philox" in RNG_ALGORITHM
     assert BAND_CHECK_FRAME == "current-whitened"

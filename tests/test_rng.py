@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import icaprobe
-from icaprobe.rng import ReproducibleStream, _ndtri
+from icaprobe.rng import _NORMAL_BLOCK, ReproducibleStream, _ndtri
 
 E2 = np.exp(-2.0)
 E32 = np.exp(-32.0)
@@ -110,3 +110,24 @@ def test_seed_range_is_still_checked():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
             ReproducibleStream(seed)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("n", [_NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1, 3 * _NORMAL_BLOCK + 7])
+def test_blocked_normals_equal_one_call_of_the_inverse_cdf(seed, n):
+    got = ReproducibleStream(seed).normals(n)
+    assert got.shape == (n,)
+    assert _same_bits(got, _ndtri(ReproducibleStream(seed).uniforms(n)))
+
+
+def test_normals_split_across_calls_continue_the_same_stream():
+    # the first call ends inside a block, the second crosses the block edge
+    a, b = _NORMAL_BLOCK - 5, 11
+    stream = ReproducibleStream(3)
+    split = np.concatenate([stream.normals(a), stream.normals(b)])
+    assert _same_bits(split, ReproducibleStream(3).normals(a + b))
+
+
+def test_no_normals_is_an_empty_float_array():
+    z = ReproducibleStream(0).normals(0)
+    assert z.shape == (0,) and z.dtype == np.float64
