@@ -90,6 +90,21 @@ def _bands_str(bands) -> str:
     return ",".join(f"{lo:g}:{hi:g}" for lo, hi in bands)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _parse(text: str, convert, flag: str, form: str):
+    """``convert(text)``, or a ValueError that names the flag and its form."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"--{flag} takes {form}, got {text!r}") from None
+
+
 _DATA = ("", {"help": "input CSV, one column per coordinate"})
 _G = ("logcosh", {"choices": sorted(GFAMILIES), "help": "contrast nonlinearity G"})
 _ALPHA = (1.0, {"help": "logcosh scale, in [1, 2]; the other G families ignore it"})
@@ -165,7 +180,7 @@ def cmd_generate(cfg, out, svg):
     """Banded-Gaussian counterexample data."""
     gen_cfg = datagen.GenConfig(
         n=int(cfg["n"]),
-        bands=_parse_bands(cfg["bands"]),
+        bands=_parse(cfg["bands"], _parse_bands, "bands", '"lo:hi,lo:hi" intervals, or none'),
         seed=int(cfg["seed"]),
         max_rounds=int(cfg["max_rounds"]),
     )
@@ -182,7 +197,7 @@ def cmd_sweep(cfg, out, svg):
     """Contrast curves over the half circle."""
     data = _whitened_data(cfg)
     g = _g_function(cfg)
-    m = None if cfg["m"] == "auto" else int(cfg["m"])
+    m = None if cfg["m"] == "auto" else _parse(cfg["m"], int, "m", 'an integer spacing or "auto"')
     result = sweep(data, grid_size=int(cfg["grid"]), g=g, m=m)
     failed = result.f0_failed.astype(int)
     cfg["f0_failed"] = str(failed.sum())
@@ -222,7 +237,8 @@ def cmd_densities(cfg, out, svg):
     elif choice == "fastica-opt":
         w = deflation(data, 1, g, int(cfg["seed"])).W[0]
     else:
-        theta = float(choice)
+        form = "a finite angle in radians, mspacing-opt or fastica-opt"
+        theta = _parse(choice, _finite_float, "direction", form)
         if p != 2:
             raise ValueError(f"an angle direction needs data with 2 columns, got {p}")
     if p == 2:  # project on the recorded angle's own vector, so that it replays
@@ -295,12 +311,16 @@ def cmd_rates(cfg, out, svg):
     g = _g_function(cfg)
     k = build_k(g)
     delta = float(cfg["delta"])
-    c_grid = [float(v) for v in cfg["c_grid"].split(",")]
     # checked before the first solve, so that bad input writes no file
+    bad_grid = f"--c-grid needs 4 or more values c > 0, got {cfg['c_grid']}"
+    try:
+        c_grid = [float(v) for v in cfg["c_grid"].split(",")]
+    except ValueError:
+        raise ValueError(bad_grid) from None
     if not all(math.isfinite(c) for c in c_grid):
         raise ValueError("c must be finite")
     if len(c_grid) < 4 or min(c_grid) <= 0:
-        raise ValueError(f"--c-grid needs 4 or more values c > 0, got {cfg['c_grid']}")
+        raise ValueError(bad_grid)
     if not 0.0 < delta < 0.5:  # false for nan and inf too
         raise ValueError(f"--delta must be in (0, 1/2), got {cfg['delta']}")
     solves = solve_f0(c_grid, k)

@@ -232,6 +232,51 @@ def test_densities_beyond_the_plane(tmp_path, capsys, p):
     assert capsys.readouterr().err == f"error: an angle direction needs data with 2 columns, got {p}\n"
 
 
+@pytest.mark.parametrize("direction", ["inf", "-inf", "1e400", "nan", "mspacing"])
+def test_densities_rejects_a_bad_direction(tmp_path, data_csv, capsys, direction):
+    # a non-finite angle or an unknown word names the option and its forms
+    out = tmp_path / "dens.csv"
+    assert run("densities", "--data", data_csv, f"--direction={direction}", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: --direction takes a finite angle in radians, mspacing-opt or fastica-opt, "
+        f"got {direction!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bands", ["1", "a:b", "0.4:0.9,,1:2"])
+def test_generate_rejects_malformed_bands(tmp_path, capsys, bands):
+    out = tmp_path / "g.csv"
+    assert run("generate", "--bands", bands, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f'error: --bands takes "lo:hi,lo:hi" intervals, or none, got {bands!r}\n'
+    )
+    assert not out.exists()
+
+
+def test_sweep_rejects_an_m_that_is_not_an_integer(tmp_path, data_csv, capsys):
+    assert run("sweep", "--data", data_csv, "--m", "2.5", "--out", tmp_path / "s.csv") == 2
+    assert capsys.readouterr().err == 'error: --m takes an integer spacing or "auto", got \'2.5\'\n'
+
+
+def test_rates_rejects_a_c_that_is_not_a_number(tmp_path, capsys):
+    grid = "0.16,0.08,0.04,abc"
+    assert run("rates", "--c-grid", grid, "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == f"error: --c-grid needs 4 or more values c > 0, got {grid}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_values_get_the_option_messages(tmp_path, data_csv, capsys):
+    # a --config value reaches the same parsing under the same key
+    config = tmp_path / "sweep.cfg"
+    config.write_text("m=2.5\n")
+    assert run("sweep", "--data", data_csv, "--config", config, "--out", tmp_path / "s.csv") == 2
+    assert capsys.readouterr().err == 'error: --m takes an integer spacing or "auto", got \'2.5\'\n'
+    config.write_text("direction=nan\n")
+    assert run("densities", "--data", data_csv, "--config", config, "--out", tmp_path / "d.csv") == 2
+    assert "error: --direction takes a finite angle" in capsys.readouterr().err
+
+
 def test_main_calls_a_command_rebound_after_import(tmp_path, monkeypatch):
     # the benchmark tracer rebinds cli.cmd_* at module level after import
     import icaprobe.cli as cli

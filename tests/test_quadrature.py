@@ -157,13 +157,13 @@ def test_batched_build_equals_the_root_by_root_build(order):
 
 
 # the surrogate benchmark references were taken with exactly these arrays
-@pytest.mark.parametrize(
-    "order, size, digest",
-    [
-        (200, 200, "688a9b3ca278b33827a36cc4390da30fab5df98da8794fbe25e20dfa7eb255a2"),
-        (400, 398, "c05661e973d953eb975453b6282d255230b2058b937890fce0b97658a439a5d2"),
-    ],
-)
+PINNED_RULES = [
+    (200, 200, "688a9b3ca278b33827a36cc4390da30fab5df98da8794fbe25e20dfa7eb255a2"),
+    (400, 398, "c05661e973d953eb975453b6282d255230b2058b937890fce0b97658a439a5d2"),
+]
+
+
+@pytest.mark.parametrize("order, size, digest", PINNED_RULES)
 def test_rule_bytes_are_pinned(order, size, digest):
     nodes, weights = gaussian_weighted_rule(order)
     assert nodes.size == size
@@ -172,9 +172,8 @@ def test_rule_bytes_are_pinned(order, size, digest):
 
 def test_rule_build_stops_after_m_plus_one_sweeps(monkeypatch):
     # even a Newton stand-in whose output changes on every call cannot keep
-    # the sweeps going: sweep k reruns only roots whose start moved, and
-    # root i's start settles once roots i-1 and i-2 have, so the reruns
-    # shrink to none within m + 1 sweeps
+    # the sweeps going: the loop runs at most m + 1 sweeps (m = 5 roots at
+    # order 9), each over all h = 4 positive roots
     calls = []
 
     def restless(z, order, recurrence):
@@ -183,7 +182,51 @@ def test_rule_build_stops_after_m_plus_one_sweeps(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_newton", restless)
     quadrature._hermite_nodes_weights(9)
-    assert calls == [4, 3, 2, 1, 0]
+    assert calls == [4] * 6
+
+
+@pytest.mark.parametrize("order, size, digest", PINNED_RULES)
+def test_rule_build_needs_no_eigensolver(monkeypatch, order, size, digest):
+    # the sweeps start from a closed form; __wrapped__ skips the cache
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    nodes, weights = quadrature._cached_gaussian_rule.__wrapped__(order)
+    assert nodes.size == size
+    assert hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order", [*range(2, 65), 199, 200, 201, 400, 401])
+def test_rule_build_takes_few_sweeps(monkeypatch, order):
+    # a seed that keeps the bits but lands far off would show here: the
+    # closed-form seed needs 2 to 4 sweeps at every one of these orders
+    calls = []
+    newton = quadrature._newton
+
+    def counted(*args):
+        calls.append(None)
+        return newton(*args)
+
+    monkeypatch.setattr(quadrature, "_newton", counted)
+    quadrature._hermite_nodes_weights(order)
+    assert len(calls) <= 4
+
+
+def test_order_is_capped_at_max_order(monkeypatch):
+    # past the cap the top roots' weights underflow and Newton never
+    # settles; the cap is checked before any work
+    nodes, weights = gaussian_weighted_rule(quadrature.MAX_ORDER)
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+
+    def refuse(order):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(quadrature, "_hermite_nodes_weights", refuse)
+    with pytest.raises(ValueError, match="MAX_ORDER = 700"):
+        gaussian_weighted_rule(quadrature.MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        gaussian_weighted_rule(800)
 
 
 def test_rule_build_terminates_on_nan(monkeypatch):
