@@ -159,7 +159,7 @@ def _g_function(cfg):
     if name not in GFAMILIES:
         raise ValueError(f"unknown G family {name!r}")
     if name == "logcosh":
-        return logcosh(float(cfg.get("alpha", 1.0)))
+        return logcosh(_parse(cfg.get("alpha", "1.0"), float, "alpha", "a number"))
     return GFAMILIES[name]()
 
 
@@ -179,10 +179,10 @@ def _svg(path, figure, files) -> None:
 def cmd_generate(cfg, out, svg):
     """Banded-Gaussian counterexample data."""
     gen_cfg = datagen.GenConfig(
-        n=int(cfg["n"]),
+        n=_parse(cfg["n"], int, "n", "an integer"),
         bands=_parse(cfg["bands"], _parse_bands, "bands", '"lo:hi,lo:hi" intervals, or none'),
-        seed=int(cfg["seed"]),
-        max_rounds=int(cfg["max_rounds"]),
+        seed=_parse(cfg["seed"], int, "seed", "an integer"),
+        max_rounds=_parse(cfg["max_rounds"], int, "max-rounds", "an integer"),
     )
     data = datagen.gen_banded_gaussian(gen_cfg)
     _write_csv(out, ["x1", "x2"], _array_rows(data))
@@ -198,7 +198,7 @@ def cmd_sweep(cfg, out, svg):
     data = _whitened_data(cfg)
     g = _g_function(cfg)
     m = None if cfg["m"] == "auto" else _parse(cfg["m"], int, "m", 'an integer spacing or "auto"')
-    result = sweep(data, grid_size=int(cfg["grid"]), g=g, m=m)
+    result = sweep(data, grid_size=_parse(cfg["grid"], int, "grid", "an integer"), g=g, m=m)
     failed = result.f0_failed.astype(int)
     cfg["f0_failed"] = str(failed.sum())
     cfg["f0_newton_iterations"] = str(result.f0_iterations.sum())
@@ -235,7 +235,7 @@ def cmd_densities(cfg, out, svg):
     if choice == "mspacing-opt":
         w = optimize_direction(data, lambda w: mspacing_negentropy(data @ w))
     elif choice == "fastica-opt":
-        w = deflation(data, 1, g, int(cfg["seed"])).W[0]
+        w = deflation(data, 1, g, _parse(cfg["seed"], int, "seed", "an integer")).W[0]
     else:
         form = "a finite angle in radians, mspacing-opt or fastica-opt"
         theta = _parse(choice, _finite_float, "direction", form)
@@ -279,9 +279,9 @@ def cmd_ica(cfg, out, svg):
     """Extract loadings."""
     data = _whitened_data(cfg)
     g = _g_function(cfg)
-    components = int(cfg["components"])
+    components = _parse(cfg["components"], int, "components", "an integer")
     if cfg["method"] == "fastica":
-        loadings = deflation(data, components, g, int(cfg["seed"]))
+        loadings = deflation(data, components, g, _parse(cfg["seed"], int, "seed", "an integer"))
         W = loadings.W
         converged = loadings.converged
         iterations = loadings.iterations
@@ -310,7 +310,7 @@ def cmd_rates(cfg, out, svg):
     """Surrogate linearization rate study."""
     g = _g_function(cfg)
     k = build_k(g)
-    delta = float(cfg["delta"])
+    delta = _parse(cfg["delta"], float, "delta", "a number")
     # checked before the first solve, so that bad input writes no file
     bad_grid = f"--c-grid needs 4 or more values c > 0, got {cfg['c_grid']}"
     try:
@@ -394,8 +394,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv):
+    """argv with each option that takes a value joined to the token after it
+    as ``--key=value``, unless that token is itself an option string.
+
+    Every option of every command takes one value, and argparse reads a
+    value that starts with ``-`` but is not a plain decimal as a flag:
+    ``--direction -1e-3`` would fail where ``--direction=-1e-3`` runs.
+    """
+    takes_value = {"--config", "--out", "--svg"}.union(
+        "--" + key.replace("_", "-") for options in OPTIONS.values() for key in options
+    )
+    flags = takes_value | {"-h", "--help"}
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in takes_value and token not in flags:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     options = OPTIONS[args.command]
     try:
         cfg = {key: str(default) for key, (default, _) in options.items()}

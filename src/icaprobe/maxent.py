@@ -53,9 +53,10 @@ node count of the rule that produced it.
 :func:`solve_f0` takes one c or a 1-d array of them, and a scalar is a
 batch of one.  Each rung runs one Newton iteration over all rows still
 open, in (rows, nodes) arrays, and re-checks the rows it solved together.
-Every test of the ladder acts per row: the line search, the finishing
-step, the dual floor, the guard and the re-check; a row that fails a rung
-goes on to the next one in a smaller batch.  Each row's arithmetic is that
+Every test of the ladder acts per row: the line search (whose first,
+undamped trial is the finishing step for rows near the optimum), the dual
+floor, the guard and the re-check; a row that fails a rung goes on to the
+next one in a smaller batch.  Each row's arithmetic is that
 of a batch of one, so an array call returns exactly the scalar calls'
 solves.  Rows go in blocks of at most :data:`_MAX_BATCH_ELEMENTS` // nodes
 (at least one), so memory stays bounded in the number of c.
@@ -199,6 +200,13 @@ def _dual_newton(c, k, x, w, gaussian_weighted, tol):
     are stacked 1-d ones (:func:`_row_dot`, ``moments @ p[:, :, None]``, the
     stacked Hessian and solve) and sums run along rows.
 
+    Each Newton step tries lam + scale step at scale 1, 1/2, 1/4, ... (at
+    most 80 trials), every open row at the full step first.  On that trial
+    a row whose gradient is below 1e-6 takes the finishing test instead of
+    Armijo's: it keeps the undamped step if the gradient shrinks, and
+    otherwise its run ends; either way it leaves the search.  A row that
+    moves to a dual value below -40 ends as infeasible.
+
     The start is (kappa, zeta, a) = (0, -1/2, c) on the phi-weighted rule
     and (0, -1/2, min(c, 0)) on a grid, where a > 0 can make the start
     improper (see the module docstring).  The entropy is the dual value
@@ -264,17 +272,6 @@ def _dual_newton(c, k, x, w, gaussian_weighted, tol):
         out[rows[j]] = result
         closed[j] = True
 
-    def commit(took, lam2, log_z2, p2, expect2, psi2):
-        """Move the ascending rows ``took`` to the new state given for them."""
-        nonlocal lam, log_z, p, expect, psi, grad
-        if took.size == rows.size:  # every row: take the new arrays whole
-            lam, log_z, p, expect, psi = lam2, log_z2, p2, expect2, psi2
-            grad = expect - target
-        else:
-            lam[took], log_z[took], psi[took] = lam2, log_z2, psi2
-            p[took], expect[took] = p2, expect2
-            grad[took] = expect2 - target[took]
-
     for iterations in range(MAX_ITER):  # every open row has taken this many steps
         gnorm = np.maximum.reduce(np.abs(grad), axis=1)
         done = gnorm <= tol
@@ -309,61 +306,50 @@ def _dual_newton(c, k, x, w, gaussian_weighted, tol):
             step = np.where(uphill[:, None], -grad, step)
             slope = _row_dot(grad, step)
 
-        # quadratic-convergence finish: undamped while the gradient shrinks
+        # one trial per halving; the searching rows' arrays are the state's
+        # own until a row leaves, and the rows a move writes are the ones
+        # that leave
         finish = gnorm < 1e-6
         finishing = np.count_nonzero(finish)
-        if finishing:
-            rise = finish.nonzero()[0]
-            trial = lam[rise] + step[rise]
-            ok, log_z2, wz, z = weights(trial)
-            for j in rise[~ok]:
-                close(j, ConvergenceError(
-                    "finishing step left the feasible region", float(gnorm[j])
-                ))
-            rise, trial = rise[ok], trial[ok]
-            p2, expect2 = moments_of(wz, z)
-            stuck = np.maximum.reduce(np.abs(expect2 - target[rise]), axis=1) >= gnorm[rise]
-            for j in rise[stuck]:
-                close(j, ConvergenceError(
-                    f"gradient floor {gnorm[j]:.2e} above tol {tol:g}", float(gnorm[j])
-                ))
-            if np.count_nonzero(stuck):
-                moved = ~stuck
-                rise, trial, log_z2, p2, expect2 = (
-                    v[moved] for v in (rise, trial, log_z2, p2, expect2)
-                )
-            commit(rise, trial, log_z2, p2, expect2, log_z2 - _row_dot(trial, target[rise]))
-
-        search = (~finish).nonzero()[0]
-        # the searching rows' copies; with no finishing row they are the
-        # arrays themselves, whose rows a commit writes only as it drops them
+        search = np.arange(rows.size)
         lam_s, step_s, target_s, psi_s, slope_s = lam, step, target, psi, slope
-        if finishing and search.size:
-            lam_s, step_s, target_s, psi_s, slope_s = (
-                v[search] for v in (lam, step, target, psi, slope)
-            )
         scale = 1.0  # every searching row halves together
         for halved in range(80):
-            if not search.size:
-                break
             trial = lam_s + scale * step_s
             ok, log_z2, wz, z = weights(trial)
             if np.count_nonzero(ok) == ok.size:
                 psi2 = log_z2 - _row_dot(trial, target_s)
             else:
-                psi2 = np.full(search.size, math.nan)  # nan fails the test below
+                psi2 = np.full(search.size, math.nan)  # nan fails the tests below
                 psi2[ok] = log_z2 - _row_dot(trial[ok], target_s[ok])
             accept = psi2 <= psi_s + 1e-4 * scale * slope_s
+            expect2 = None  # the trial's moments, once some row needs them
+            if finishing:  # the first trial, on every open row
+                wz, expect2 = moments_of(wz, z)
+                gap = np.full(search.size, math.nan)
+                gap[ok] = np.maximum.reduce(np.abs(expect2 - target_s[ok]), axis=1)
+                accept = np.where(finish, gap < gnorm, accept)
+                for j in (finish & ~accept).nonzero()[0]:
+                    close(j, ConvergenceError(
+                        f"gradient floor {gnorm[j]:.2e} above tol {tol:g}" if ok[j]
+                        else "finishing step left the feasible region", float(gnorm[j])
+                    ))
             moves = np.count_nonzero(accept)
-            if moves == search.size:
-                commit(search, trial, log_z2, *moments_of(wz, z), psi2)
-                took = search
-            elif moves:
-                kept = accept[ok]
-                took = search[accept]
-                commit(took, trial[accept], log_z2[kept], *moments_of(wz[kept], z[kept]),
-                       psi2[accept])
             if moves:
+                if moves < ok.size:  # keep the accepted rows of what weights returned
+                    kept = accept[ok]
+                    log_z2, wz, z = log_z2[kept], wz[kept], z[kept]
+                    expect2 = None if expect2 is None else expect2[kept]
+                if expect2 is None:
+                    wz, expect2 = moments_of(wz, z)
+                if moves == rows.size:  # every open row moved: take the new arrays whole
+                    took, lam, log_z, p, expect, psi = search, trial, log_z2, wz, expect2, psi2
+                    grad = expect - target
+                else:
+                    took = search[accept]
+                    lam[took], log_z[took], psi[took] = trial[accept], log_z2, psi2[accept]
+                    p[took], expect[took] = wz, expect2
+                    grad[took] = expect2 - target[took]
                 if halved:
                     halvings[took] += halved
                 for j in took[psi[took] < _DUAL_FLOOR]:
@@ -371,10 +357,15 @@ def _dual_newton(c, k, x, w, gaussian_weighted, tol):
                         f"dual objective fell below {_DUAL_FLOOR}; constraint value "
                         f"{float(c[rows[j]]):.6g} is outside the feasible moment range"
                     ))
-                if moves == search.size:
+            if moves == search.size:
+                break
+            if moves or finishing:  # some row left the search
+                stay = ~(accept | finish) if finishing else ~accept
+                finishing = 0
+                if not np.count_nonzero(stay):
                     break
                 search, lam_s, step_s, target_s, psi_s, slope_s = (
-                    v[~accept] for v in (search, lam_s, step_s, target_s, psi_s, slope_s)
+                    v[stay] for v in (search, lam_s, step_s, target_s, psi_s, slope_s)
                 )
             scale *= 0.5
         else:

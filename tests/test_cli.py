@@ -712,3 +712,59 @@ def test_every_command_runs_with_scipy_blocked(tmp_path, data_csv, three_column_
     for name, argv in runs.items():
         assert run(*argv, "--out", free / f"{name}.csv") == 0
         assert (blocked / f"{name}.csv").read_bytes() == (free / f"{name}.csv").read_bytes(), name
+
+
+
+def test_a_dash_value_after_its_option_writes_the_joined_forms_bytes(tmp_path, data_csv):
+    # argparse alone reads -1e-3 as a flag; main joins it to --direction
+    joined, spaced = tmp_path / "joined.csv", tmp_path / "spaced.csv"
+    assert run("densities", "--data", data_csv, "--direction=-1e-3", "--out", joined) == 0
+    assert run("densities", "--data", data_csv, "--direction", "-1e-3", "--out", spaced) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_a_dash_angle_that_is_not_finite_gets_the_direction_message(tmp_path, data_csv, capsys):
+    out = tmp_path / "d.csv"
+    assert run("densities", "--data", data_csv, "--direction", "-inf", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: --direction takes a finite angle in radians, mspacing-opt or fastica-opt, "
+        "got '-inf'\n"
+    )
+
+
+def test_a_dash_delta_gets_the_delta_message(tmp_path, capsys):
+    assert run("rates", "--delta", "-1e-3", "--out", tmp_path / "r.csv") == 2
+    assert capsys.readouterr().err == "error: --delta must be in (0, 1/2), got -0.001\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, key, value, form",
+    [
+        ("generate", "n", "2.5", "an integer"),
+        ("generate", "seed", "x", "an integer"),
+        ("generate", "max_rounds", "1.5", "an integer"),
+        ("sweep", "grid", "36.5", "an integer"),
+        ("sweep", "alpha", "1.5x", "a number"),
+        ("densities", "seed", "1e3", "an integer"),
+        ("ica", "components", "one", "an integer"),
+        ("ica", "seed", "0.5", "an integer"),
+        ("rates", "delta", "abc", "a number"),
+        ("rates", "alpha", "1.5x", "a number"),
+    ],
+)
+def test_a_config_number_that_does_not_parse_names_its_option(
+    tmp_path, data_csv, capsys, command, key, value, form
+):
+    # the flag form is argparse's to reject; a --config value gets the
+    # same kind of message, naming the option and the form it takes
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n")
+    data = [] if command in ("generate", "rates") else ["--data", data_csv]
+    if command == "densities":
+        data += ["--direction", "fastica-opt"]
+    out = tmp_path / "out.csv"
+    assert run(command, *data, "--config", config, "--out", out) == 2
+    flag = key.replace("_", "-")
+    assert capsys.readouterr().err == f"error: --{flag} takes {form}, got {value!r}\n"
+    assert not out.exists()

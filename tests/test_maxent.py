@@ -761,3 +761,51 @@ def test_small_c_coefficients_match_the_third_gaussian_moment_of_k(name, rule200
         for ratio, limit in ((cubic, -k3 / 6.0), (slope, -k3 / 2.0)):
             assert abs(ratio[0] - limit) > 1e-3 * abs(limit)  # the linear term shows
             assert 2.0 * ratio[1] - ratio[0] == pytest.approx(limit, rel=1e-3)
+
+
+def _newton_entry(res):
+    """A _dual_newton entry as plain values that compare with ==: the
+    error's type, message and residual, or the solve with lam as a list."""
+    if isinstance(res, ConvergenceError):
+        return type(res), str(res), res.residual
+    lam, *rest = res
+    return (lam.tolist(), *rest)
+
+
+_NEWTON_RULES = {
+    "order 200": lambda: (*gaussian_weighted_rule(), True),
+    "2^10 panels": lambda: (*maxent._interval_points(1 << 10), False),
+    "2^15 panels": lambda: (*maxent._interval_points(1 << 15), False),
+}
+
+
+@pytest.mark.parametrize(
+    "g, c_of, rule, start, end",
+    [
+        (logcosh, lambda lo, hi: hi * (1.0 - 1e-2), "order 200", "line search stalled", ""),
+        (logcosh, lambda lo, hi: lo * (1.0 - 1e-4), "order 200",
+         "dual objective fell below -40.0", "outside the feasible moment range"),
+        (logcosh, lambda lo, hi: lo * (1.0 - 1e-4), "2^10 panels",
+         "dual objective fell below -40.0", "outside the feasible moment range"),
+        (quartic, lambda lo, hi: lo * (1.0 - 1e-6), "2^15 panels",
+         "gradient floor", "above tol 1e-10"),
+        # the c of the eps = 0.001 uniform mixture
+        (quartic, lambda lo, hi: -0.40824822249041176, "2^15 panels",
+         "no convergence in 200 iterations", ""),
+    ],
+    ids=["stalled", "dual floor, order 200", "dual floor, 2^10 panels", "gradient floor",
+         "200 iterations"],
+)
+def test_each_newton_exit_closes_its_row_as_a_batch_of_one(g, c_of, rule, start, end):
+    # the first row ends on the named path while c = 0.05 solves beside it;
+    # each row returns what its own one-row call returns
+    k = build_k(g())
+    c = c_of(*_feasible_range(k))
+    x, w, weighted = _NEWTON_RULES[rule]()
+    both = maxent._dual_newton(np.array([c, 0.05]), k, x, w, weighted, 1e-10)
+    first = both[0]
+    assert isinstance(first, ConvergenceError)
+    assert str(first).startswith(start) and str(first).endswith(end), str(first)
+    assert not isinstance(both[1], ConvergenceError)
+    alone = [maxent._dual_newton(np.array([v]), k, x, w, weighted, 1e-10)[0] for v in (c, 0.05)]
+    assert list(map(_newton_entry, both)) == list(map(_newton_entry, alone))
