@@ -401,13 +401,25 @@ def _join_values(argv):
     Every option of every command takes one value, and argparse reads a
     value that starts with ``-`` but is not a plain decimal as a flag:
     ``--direction -1e-3`` would fail where ``--direction=-1e-3`` runs.
+    argparse also takes a unique prefix of an option (``allow_abbrev``), so
+    a prefix of one of the command's own options is first written out in
+    full, and ``--dir -1e-3`` runs too; an ambiguous one is left for
+    argparse to reject.
     """
-    takes_value = {"--config", "--out", "--svg"}.union(
-        "--" + key.replace("_", "-") for options in OPTIONS.values() for key in options
+    command = next((token for token in argv if token in OPTIONS), None)
+    # the command's options as build_parser declares them
+    takes_value = {"--config", "--out"}.union(
+        "--" + key.replace("_", "-") for key in OPTIONS.get(command, ())
     )
+    if command != "ica":
+        takes_value.add("--svg")
     flags = takes_value | {"-h", "--help"}
     joined = []
     for token in argv:
+        if token.startswith("--") and token not in flags:
+            matches = [flag for flag in flags if flag.startswith(token)]
+            if len(matches) == 1:
+                token = matches[0]
         if joined and joined[-1] in takes_value and token not in flags:
             joined[-1] += "=" + token
         else:

@@ -723,6 +723,29 @@ def test_a_dash_value_after_its_option_writes_the_joined_forms_bytes(tmp_path, d
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+def test_a_dash_value_after_an_option_prefix_writes_the_same_bytes(tmp_path, data_csv):
+    # argparse takes a unique prefix for its option; so does the join
+    forms = {
+        "prefix": ["--dir", "-1e-3"],
+        "prefix_joined": ["--dir=-1e-3"],
+        "full": ["--direction", "-1e-3"],
+    }
+    for name, form in forms.items():
+        assert run("densities", "--dat", data_csv, *form, "--out", tmp_path / f"{name}.csv") == 0
+    written = {(tmp_path / f"{name}.csv").read_bytes() for name in forms}
+    assert len(written) == 1
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "0.5"])
+def test_an_ambiguous_option_prefix_still_exits_2(tmp_path, data_csv, capsys, value):
+    # --d could be --data or --direction; a dash value does not change that
+    with pytest.raises(SystemExit) as exit_info:
+        run("densities", "--data", data_csv, "--d", value, "--out", tmp_path / "d.csv")
+    assert exit_info.value.code == 2
+    assert "ambiguous option: --d could match --data, --direction" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_dash_angle_that_is_not_finite_gets_the_direction_message(tmp_path, data_csv, capsys):
     out = tmp_path / "d.csv"
     assert run("densities", "--data", data_csv, "--direction", "-inf", "--out", out) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -378,6 +379,103 @@ def test_sweep_flags_solver_failures_as_gaps(outlier_data):
     assert np.isfinite(res.values["j_f0"][~res.f0_failed]).all()
     theta, val = res.argmax("j_f0")
     assert np.isfinite(val)
+
+
+def _threaded(monkeypatch, cpus):
+    # the split at any n on a runner of any size: cpus CPUs and no threshold.
+    # Returns the list of blocks handed to pool workers
+    import concurrent.futures
+
+    submitted = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(projsearch, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(projsearch, "THREADED_MIN_N", 1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return submitted
+
+
+@pytest.mark.parametrize(
+    "data, grid_size, cpus, workers",
+    [
+        ("banded_data", 361, 3, 3),  # 361 = 3 * 120 + 1: an uneven split
+        ("outlier_data", 16, 3, 3),  # failed solves: NaN entries and flags
+        ("banded_data", 8, 12, 8),  # more CPUs than directions
+    ],
+)
+def test_threaded_sweep_equals_the_one_worker_sweep(
+    request, monkeypatch, data, grid_size, cpus, workers
+):
+    # the workers write disjoint slots of shared arrays; a short switch
+    # interval interleaves them often, and a lost write would leave
+    # np.empty's garbage in the result
+    D = request.getfixturevalue(data)
+    serial = sweep(D, grid_size=grid_size)
+    submitted = _threaded(monkeypatch, cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sweep(D, grid_size=grid_size)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(submitted) == [(b,) for b in range(1, workers)]  # block 0 runs here
+    for field in dataclasses.fields(SweepResult):
+        got, want = getattr(threaded, field.name), getattr(serial, field.name)
+        if field.name == "values":
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name], equal_nan=True), name
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+    assert serial.f0_failed.any() == (data == "outlier_data")
+
+
+def test_threaded_sweep_raises_a_workers_value_error(gaussian_data, monkeypatch):
+    # every projection of a NaN row is NaN, so each block raises; the
+    # caller sees the one-worker message
+    D = gaussian_data.copy()
+    D[7] = math.nan
+    with pytest.raises(ValueError) as serial:
+        sweep(D, grid_size=8)
+    submitted = _threaded(monkeypatch, 3)
+    with pytest.raises(ValueError) as threaded:
+        sweep(D, grid_size=8)
+    assert submitted and str(threaded.value) == str(serial.value) == "sample must be finite"
+
+
+def test_an_error_on_a_pool_thread_alone_reaches_the_caller(gaussian_data, monkeypatch):
+    # the calling thread's block succeeds, so only .result() can raise
+    import threading
+
+    caller = threading.get_ident()
+
+    def estimate(y, m):
+        if threading.get_ident() != caller:
+            raise ValueError("raised on a pool thread")
+        return mspacing_negentropy(y, m)
+
+    _threaded(monkeypatch, 3)
+    monkeypatch.setattr(projsearch, "mspacing_negentropy", estimate)
+    with pytest.raises(ValueError, match="raised on a pool thread"):
+        sweep(gaussian_data, grid_size=8)
+
+
+def test_sweep_at_small_n_starts_no_thread(banded_data, monkeypatch):
+    # at n = 2000 a direction's work is mostly interpreter time under the
+    # GIL, and threads would slow the sweep down
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made at n = 2000")
+
+    assert banded_data.shape[0] < projsearch.THREADED_MIN_N
+    monkeypatch.setattr(projsearch, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert np.isfinite(sweep(banded_data, grid_size=36).values["j_f0"]).all()
 
 
 @pytest.mark.parametrize("p", [3, 4])
